@@ -151,7 +151,7 @@ def cmd_synth(args) -> int:
 def cmd_congruences(args) -> int:
     alg = _load_algebra(args.algebra)
     cons = ideals.all_congruences(alg)
-    mids = ideals.all_proper_multideals(alg)
+    mids = [ideals.multideal_of(th) for th in cons if not th.is_total]
     out = {
         "count": len(cons),
         "congruences": [c.to_json() for c in cons],
@@ -188,6 +188,8 @@ def cmd_multideals(args) -> int:
 def cmd_ultras(args) -> int:
     alg = _load_algebra(args.algebra)
     ultras = ideals.all_ultramultideals(alg)
+    for u in ultras:
+        ideals.hom_of_ultra(u)  # raises ValueError unless u induces a homomorphism
     out = {"count": len(ultras), "ultramultideals": [u.to_json() for u in ultras]}
     _emit(args, out, f"{len(ultras)} ultramultideals")
     return 0
@@ -254,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True,
                     choices=["nba", "skewba", "srca", "skewstar", "skewlattice"])
     sp.add_argument("--i", type=int, default=1)
-    sp.add_argument("--budget", type=int, default=skew.DEFAULT_BUDGET)
-    sp.add_argument("--samples", type=int, default=skew.DEFAULT_SAMPLES)
-    sp.add_argument("--seed", type=int, default=skew.DEFAULT_SEED)
+    sp.add_argument("--budget", type=int, default=terms.DEFAULT_BUDGET)
+    sp.add_argument("--samples", type=int, default=terms.DEFAULT_SAMPLES)
+    sp.add_argument("--seed", type=int, default=terms.DEFAULT_SEED)
     common(sp)
     sp.set_defaults(fn=cmd_check)
 

@@ -125,46 +125,41 @@ class PowerAlgebra:
         els = self.elements()
         return self.index(self.q(els[s], [els[b] for b in branches]))
 
+    def constant_index(self, k: int) -> int:
+        return self.index(self.constant(k))
+
+    def _q_codes(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:
+        """q on base-n codes of value vectors, one digit (point) at a time."""
+        m, n = self.points, self.n
+        out = np.zeros_like(s)
+        for p in range(m):
+            shift = n ** (m - 1 - p)
+            sel = (s // shift) % n
+            yp = np.stack([(b // shift) % n for b in branches])
+            out += np.take_along_axis(yp, sel[None], axis=0)[0] * shift
+        return out
+
     def q_table(self) -> np.ndarray:
-        """Dense (size,)*(n+1) table of q over carrier indices."""
+        """Dense (size,)*(n+1) table of q over carrier indices; ShapeError if not closed."""
         tab = self._cache.get("qtab")
         if tab is None:
-            els = self.elements()
-            s = len(els)
-            vals = np.array(els, dtype=np.int64).reshape(s, max(self.points, 1))
-            if self.points == 0:
-                tab = np.zeros((s,) * (self.n + 1), dtype=np.int64)
-            else:
-                grids = np.indices((s,) * (self.n + 1))
-                x, ys = grids[0], grids[1:]
-                cols = []
-                for p in range(self.points):
-                    sel = vals[x, p] - 1  # which branch at point p
-                    yvals = np.stack([vals[y, p] for y in ys])
-                    cols.append(np.take_along_axis(yvals, sel[None], axis=0)[0])
-                res = np.stack(cols, axis=-1)
-                lut = {tuple(e): i for i, e in enumerate(els)}
-                flat = res.reshape(-1, self.points)
-                tab = np.fromiter(
-                    (lut[tuple(row)] for row in flat), dtype=np.int64, count=flat.shape[0]
-                ).reshape((s,) * (self.n + 1))
+            # the carrier is sorted, so its codes are too
+            vals = np.array(self.elements(), dtype=np.int64).reshape(self.size, self.points)
+            codes = (vals - 1) @ (self.n ** np.arange(self.points - 1, -1, -1, dtype=np.int64))
+            grid = codes[np.indices((self.size,) * (self.n + 1))]
+            res = self._q_codes(grid[0], list(grid[1:]))
+            tab = np.searchsorted(codes, res)
+            missing = np.argwhere(codes[np.minimum(tab, self.size - 1)] != res)
+            if missing.size:  # q raises a ShapeError naming the element the carrier lacks
+                self.q_idx(int(missing[0, 0]), missing[0, 1:].tolist())
             self._cache["qtab"] = tab
         return tab
 
     def q_vec(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorised q over arrays of carrier indices."""
-        if self.carrier is None and self.points > 0:
-            # full power: indices are base-n codes of the value vectors
-            m, n = self.points, self.n
-            out = np.zeros_like(s)
-            for p in range(m):
-                shift = n ** (m - 1 - p)
-                sel = (s // shift) % n
-                yp = np.stack([(b // shift) % n for b in branches])
-                out += np.take_along_axis(yp, sel[None], axis=0)[0] * shift
-            return out
-        tab = self.q_table()
-        return tab[tuple([s, *branches])]
+        if self.carrier is None:  # a full power's indices are its codes
+            return self._q_codes(s, branches)
+        return self.q_table()[tuple([s, *branches])]
 
     def element_label(self, i: int) -> str:
         el = self.elements()[i]
@@ -193,6 +188,7 @@ class TableAlgebra:
     size: int
     constants: tuple  # n carrier indices, constants[k-1] is e_k
     q_flat: tuple  # row-major, length size**(n+1)
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         _check_dim(self.n)
@@ -208,7 +204,11 @@ class TableAlgebra:
                 raise ValueError(f"table entry {v} out of range")
 
     def q_table(self) -> np.ndarray:
-        return np.asarray(self.q_flat, dtype=np.int64).reshape((self.size,) * (self.n + 1))
+        tab = self._cache.get("qtab")
+        if tab is None:
+            tab = np.asarray(self.q_flat, dtype=np.int64).reshape((self.size,) * (self.n + 1))
+            self._cache["qtab"] = tab
+        return tab
 
     def q_idx(self, s: int, branches: Sequence[int]) -> int:
         return int(self.q_table()[tuple([s, *branches])])
@@ -333,7 +333,9 @@ def algebra_from_json(obj: dict):
     if kind == "power":
         return PowerAlgebra(n, obj["points"])
     if kind == "subpower":
-        return PowerAlgebra(n, obj["points"], tuple(tuple(e) for e in obj["carrier"]))
+        alg = PowerAlgebra(n, obj["points"], tuple(tuple(e) for e in obj["carrier"]))
+        alg.q_table()  # rejects a carrier that is not closed under q
+        return alg
     if kind == "table":
         return TableAlgebra(n, obj["size"], tuple(obj["constants"]), tuple(obj["q"]))
     raise ValueError(f"unknown algebra kind {kind!r}")

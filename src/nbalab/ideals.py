@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import DimensionError, PowerAlgebra, TableAlgebra, generator
-from .skew import boolean_center, reduct, _const_index, _label_tuple, _size
+from .skew import boolean_center, reduct, _label_tuple
 from .transforms import CenterParams
 
 CARRIER_BOUND = 64
@@ -67,34 +67,14 @@ class Congruence:
         return self.num_blocks == 1
 
     def is_compatible(self) -> bool:
-        """Brute-force check that blocks respect q."""
-        n = self.alg.n
-        tab_q = _q_on(self.alg)
-        size = self.size
-        reps = [c[0] for c in self.classes()]
+        """Exhaustive check that blocks respect q: q(xs) ~ q(representatives of xs)."""
+        tab = self.alg.q_table()
         blk = np.asarray(self.blocks)
-        for combo in itertools.product(range(size), repeat=n + 1):
-            rep = tuple(reps[blk[c]] for c in combo)
-            if blk[tab_q(*combo)] != blk[tab_q(*rep)]:
-                return False
-        return True
+        rep = np.asarray([c[0] for c in self.classes()])[blk]
+        return bool(np.array_equal(blk[tab], blk[tab[np.ix_(*[rep] * tab.ndim)]]))
 
     def to_json(self) -> dict:
         return {"blocks": list(self.blocks)}
-
-
-def _q_on(alg):
-    if isinstance(alg, TableAlgebra):
-        tab = alg.q_table()
-    else:
-        tab = None
-
-    def f(*combo):
-        if tab is not None:
-            return int(tab[combo])
-        return alg.q_idx(combo[0], list(combo[1:]))
-
-    return f
 
 
 def blocks_to_congruence(alg, rel: np.ndarray) -> Congruence:
@@ -112,11 +92,11 @@ def blocks_to_congruence(alg, rel: np.ndarray) -> Congruence:
 
 
 def diagonal_congruence(alg) -> Congruence:
-    return Congruence(alg, tuple(range(_size(alg))))
+    return Congruence(alg, tuple(range(alg.size)))
 
 
 def total_congruence(alg) -> Congruence:
-    return Congruence(alg, (0,) * _size(alg))
+    return Congruence(alg, (0,) * alg.size)
 
 
 class _UnionFind:
@@ -153,7 +133,7 @@ def congruence_generated(alg, pairs: Iterable[tuple]) -> Congruence:
     every unary polynomial translation of q applied to them.
     """
     n = alg.n
-    size = _size(alg)
+    size = alg.size
     uf = _UnionFind(size)
     queue = []
     for a, b in pairs:
@@ -190,7 +170,7 @@ def join_congruences(alg, th1: Congruence, th2: Congruence) -> Congruence:
 
 def all_congruences(alg, bound: int = CARRIER_BOUND) -> list:
     """Every congruence, as joins of principal ones; deterministic order."""
-    size = _size(alg)
+    size = alg.size
     if size > bound:
         raise ValueError(f"carrier size {size} exceeds bound {bound}")
     found = {diagonal_congruence(alg).blocks: diagonal_congruence(alg)}
@@ -230,7 +210,7 @@ class Multideal:
 
     @property
     def is_ultra(self) -> bool:
-        return not self.degenerate and len(self.carrier) == _size(self.alg)
+        return not self.degenerate and len(self.carrier) == self.alg.size
 
     def component_of(self, x: int) -> Optional[int]:
         for k, comp in enumerate(self.components, start=1):
@@ -239,7 +219,7 @@ class Multideal:
         return None
 
     def to_json(self) -> dict:
-        labels = _label_tuple(self.alg, _size(self.alg))
+        labels = _label_tuple(self.alg)
         if self.degenerate:
             return {"degenerate": True}
         return {
@@ -249,7 +229,7 @@ class Multideal:
 
 
 def degenerate_multideal(alg, warning=None) -> Multideal:
-    full = frozenset(range(_size(alg)))
+    full = frozenset(range(alg.size))
     return Multideal(alg, (full,) * alg.n, degenerate=True, warning=warning)
 
 
@@ -258,7 +238,7 @@ def multideal_of(theta: Congruence) -> Multideal:
     alg = theta.alg
     if theta.is_total:
         return degenerate_multideal(alg, warning="total congruence")
-    comps = tuple(theta.block_of(_const_index(alg, k)) for k in range(1, alg.n + 1))
+    comps = tuple(theta.block_of(alg.constant_index(k)) for k in range(1, alg.n + 1))
     return Multideal(alg, comps)
 
 
@@ -275,18 +255,18 @@ class ValidationResult:
 def validate_multideal(alg, candidate) -> ValidationResult:
     """Check m1, disjointness, m2, m3; classify degenerate tuples."""
     n = alg.n
-    size = _size(alg)
-    labels = _label_tuple(alg, size)
+    size = alg.size
+    labels = _label_tuple(alg)
     comps = [frozenset(x if isinstance(x, int) else alg.index(tuple(x)) for x in c)
              for c in candidate]
     if len(comps) != n:
         return ValidationResult("invalid", "shape", {"expected": n, "got": len(comps)})
     for k in range(1, n + 1):
-        if _const_index(alg, k) not in comps[k - 1]:
+        if alg.constant_index(k) not in comps[k - 1]:
             return ValidationResult("invalid", "m1", {"missing": f"e{k}"})
     for r in range(1, n + 1):
         for k in range(1, n + 1):
-            if r != k and _const_index(alg, k) in comps[r - 1]:
+            if r != k and alg.constant_index(k) in comps[r - 1]:
                 return ValidationResult("degenerate", witness={"constant": f"e{k}", "component": r})
     for r in range(n):
         for k in range(r + 1, n):
@@ -346,11 +326,11 @@ def multideal_from_sets(alg, candidate) -> Multideal:
 def ideal_closure(alg, seed) -> Multideal:
     """Least multideal containing the seed, or the degenerate one."""
     n = alg.n
-    size = _size(alg)
+    size = alg.size
     allv = np.arange(size, dtype=np.int64)
     comps = [set() for _ in range(n)]
     for k in range(n):
-        comps[k].add(_const_index(alg, k + 1))
+        comps[k].add(alg.constant_index(k + 1))
     for k, part in enumerate(seed):
         for x in part:
             comps[k].add(x if isinstance(x, int) else alg.index(tuple(x)))
@@ -359,7 +339,7 @@ def ideal_closure(alg, seed) -> Multideal:
         changed = False
         for r in range(1, n + 1):
             for k in range(1, n + 1):
-                if r != k and _const_index(alg, k) in comps[r - 1]:
+                if r != k and alg.constant_index(k) in comps[r - 1]:
                     return degenerate_multideal(alg)
         for r in range(n):
             for k in range(r + 1, n):
@@ -391,10 +371,10 @@ def ideal_closure(alg, seed) -> Multideal:
 
 def _coordinate_indices(alg, cp: CenterParams) -> list:
     """coords[k-1][x] = carrier index of x_k = t_k(x, e_i, e_j)."""
-    size = _size(alg)
+    size = alg.size
     allv = np.arange(size, dtype=np.int64)
-    ei = np.full(size, _const_index(alg, cp.i), dtype=np.int64)
-    ej = np.full(size, _const_index(alg, cp.j), dtype=np.int64)
+    ei = np.full(size, alg.constant_index(cp.i), dtype=np.int64)
+    ej = np.full(size, alg.constant_index(cp.j), dtype=np.int64)
     out = []
     for k in range(1, alg.n + 1):
         branches = [ej if s == k else ei for s in range(1, alg.n + 1)]
@@ -416,7 +396,7 @@ def theta_of(ideal: Multideal, cp: CenterParams = CenterParams(1, 2)) -> Congrue
         j0 = int(bc.table.join[j0, a])
     negj0 = int(bc.table.neg[j0])
     coords = _coordinate_indices(alg, cp)
-    size = _size(alg)
+    size = alg.size
     sig = []
     for x in range(size):
         sig.append(tuple(int(bc.table.meet[loc[int(coords[k][x])], negj0])
@@ -465,7 +445,7 @@ def extend_to_ultra(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2)
     bc = boolean_center(alg, cp)
     loc = {a: t for t, a in enumerate(bc.members)}
     coords = _coordinate_indices(alg, cp)
-    size = _size(alg)
+    size = alg.size
     comps = [set() for _ in range(alg.n)]
     for x in range(size):
         for k in range(alg.n):
@@ -474,9 +454,10 @@ def extend_to_ultra(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2)
                 comps[k].add(x)
                 break
     out = Multideal(alg, tuple(frozenset(c) for c in comps))
-    assert out.is_ultra
-    for k in range(alg.n):
-        assert ideal.components[k] <= out.components[k]
+    if not out.is_ultra:
+        raise ValueError("the extension does not cover the carrier")
+    if not all(ideal.components[k] <= out.components[k] for k in range(alg.n)):
+        raise ValueError("the extension does not contain the multideal")
     return out
 
 
@@ -484,7 +465,7 @@ def all_ultramultideals(alg, cp: CenterParams = CenterParams(1, 2)) -> list:
     """One ultramultideal per atom of the Boolean center."""
     bc = boolean_center(alg, cp)
     minimum = Multideal(
-        alg, tuple(frozenset({_const_index(alg, k)}) for k in range(1, alg.n + 1))
+        alg, tuple(frozenset({alg.constant_index(k)}) for k in range(1, alg.n + 1))
     )
     seen = {}
     for atom in bc.atoms():
@@ -498,12 +479,13 @@ def hom_of_ultra(ideal: Multideal) -> tuple:
     if not ideal.is_ultra:
         raise ValueError("not an ultramultideal")
     alg = ideal.alg
-    size = _size(alg)
+    size = alg.size
     h = [0] * size
     for k, comp in enumerate(ideal.components, start=1):
         for x in comp:
             h[x] = k
-    assert is_hom_onto_generator(alg, tuple(h))
+    if not is_hom_onto_generator(alg, tuple(h)):
+        raise ValueError("the ultramultideal induces no homomorphism onto the generator")
     return tuple(h)
 
 
@@ -517,12 +499,12 @@ def ultra_of_hom(alg, h: Sequence[int]) -> Multideal:
 def is_hom_onto_generator(alg, h: Sequence[int]) -> bool:
     """h maps carrier indices to 1..n; check surjective q-homomorphism."""
     n = alg.n
-    size = _size(alg)
+    size = alg.size
     hv = np.asarray(h, dtype=np.int64)
     if set(h) != set(range(1, n + 1)):
         return False
     for k in range(1, n + 1):
-        if hv[_const_index(alg, k)] != k:
+        if hv[alg.constant_index(k)] != k:
             return False
     allv = np.arange(size, dtype=np.int64)
     res, flat = _grid_q(alg, [allv] * (n + 1))
@@ -534,13 +516,13 @@ def is_hom_onto_generator(alg, h: Sequence[int]) -> bool:
 def all_homs_onto_generator(alg) -> list:
     """Backtracking over images of a generating set, closure-extended."""
     n = alg.n
-    size = _size(alg)
+    size = alg.size
     gens = _generating_set(alg)
     out = []
     for images in itertools.product(range(1, n + 1), repeat=len(gens)):
         h = np.full(size, 0, dtype=np.int64)
         for k in range(1, n + 1):
-            h[_const_index(alg, k)] = k
+            h[alg.constant_index(k)] = k
         for g, v in zip(gens, images):
             if h[g] and h[g] != v:
                 break
@@ -628,26 +610,18 @@ class StoneEmbedding:
         return self.injective and len(self.images) == self.target.size
 
     def preserves_q(self) -> bool:
-        n = self.alg.n
-        size = _size(self.alg)
-        for combo in itertools.product(range(size), repeat=n + 1):
-            src = self.alg.q_idx(combo[0], list(combo[1:])) if isinstance(
-                self.alg, TableAlgebra) else self.alg.index(
-                self.alg.q(self.alg.elements()[combo[0]],
-                           [self.alg.elements()[c] for c in combo[1:]]))
-            lhs = self.images[src]
-            rhs = self.target.q(self.images[combo[0]],
-                                [self.images[c] for c in combo[1:]])
-            if lhs != rhs:
-                return False
-        return True
+        """img[q(x, ys)] == q(img[x], img[ys]) over the source's whole q table."""
+        img = np.asarray([self.target.index(e) for e in self.images], dtype=np.int64)
+        tab = self.alg.q_table()
+        args = img[np.indices(tab.shape)]
+        return bool(np.array_equal(img[tab], self.target.q_vec(args[0], list(args[1:]))))
 
 
 def stone_embed(alg, cp: CenterParams = CenterParams(1, 2)) -> StoneEmbedding:
     """x maps to the tuple of its images under all ultramultideal homs."""
     ultras = all_ultramultideals(alg, cp)
     homs = [hom_of_ultra(u) for u in ultras]
-    size = _size(alg)
+    size = alg.size
     target = PowerAlgebra(alg.n, len(homs))
     images = tuple(tuple(h[x] for h in homs) for x in range(size))
     return StoneEmbedding(alg, target, images)
@@ -666,21 +640,21 @@ def boolean_ideal_filter_view(alg, ideal: Multideal):
         raise DimensionError(f"Boolean view needs dimension 2, got {alg.n}")
     if ideal.degenerate:
         raise ValueError("degenerate multideal")
-    one = _const_index(alg, 1)
-    zero = _const_index(alg, 2)
+    one = alg.constant_index(1)
+    zero = alg.constant_index(2)
     qi = lambda s, a, b: (alg.q_idx(s, [a, b]))
     i2, i1 = ideal.components[1], ideal.components[0]
-    size = _size(alg)
-    assert zero in i2
-    for x in i2:
-        for y in i2:
-            assert qi(x, one, y) in i2  # closed under join
-        for z in range(size):
-            assert qi(z, x, zero) in i2  # downward closed
-    assert i1 == frozenset(qi(x, zero, one) for x in i2)  # filter = negations
-    for x in i1:
-        for y in i1:
-            assert qi(x, y, zero) in i1  # filter closed under meet
-        for z in range(size):
-            assert qi(z, one, x) in i1  # upward closed
+    everything = range(alg.size)
+    laws = (
+        ("the ideal holds 0", zero in i2),
+        ("the ideal is closed under join", all(qi(x, one, y) in i2 for x in i2 for y in i2)),
+        ("the ideal is downward closed",
+         all(qi(z, x, zero) in i2 for x in i2 for z in everything)),
+        ("the filter is the ideal's negations", i1 == frozenset(qi(x, zero, one) for x in i2)),
+        ("the filter is closed under meet", all(qi(x, y, zero) in i1 for x in i1 for y in i1)),
+        ("the filter is upward closed", all(qi(z, one, x) in i1 for x in i1 for z in everything)),
+    )
+    for law, holds in laws:
+        if not holds:
+            raise ValueError(f"Boolean view fails: {law}")
     return (frozenset(i2), frozenset(i1))

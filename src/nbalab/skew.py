@@ -15,11 +15,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import PowerAlgebra, TableAlgebra
+from .terms import (DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, _assignment_arrays,
+                    _sampled_arrays)
 from .transforms import CenterParams
-
-DEFAULT_BUDGET = 10**7
-DEFAULT_SAMPLES = 10**5
-DEFAULT_SEED = 0xA11CE
 
 
 # -- table carriers for the reducts --------------------------------------
@@ -107,17 +105,13 @@ class BoolTable:
         return self.labels[a]
 
 
-def _labels(alg) -> tuple:
-    return tuple(alg.element_label(i) for i in range(_size(alg)))
-
-
-def _size(alg) -> int:
-    return alg.size if isinstance(alg.size, int) else len(alg.elements())
+def _label_tuple(alg) -> tuple:
+    return tuple(alg.element_label(i) for i in range(alg.size))
 
 
 def _t_table(alg, d: frozenset) -> np.ndarray:
     """Dense table of t_d over carrier indices of a q-algebra."""
-    s = alg.size if isinstance(alg, TableAlgebra) else len(alg.elements())
+    s = alg.size
     x, y, z = np.indices((s, s, s)).reshape(3, -1)
     branches = [z if k in d else y for k in range(1, alg.n + 1)]
     return alg.q_vec(x, branches).reshape(s, s, s)
@@ -134,47 +128,36 @@ def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
             raise ValueError(f"index {i} out of 1..{n}")
         dset = frozenset({i})
         t = _t_table(alg, dset)
-        zero = _const_index(alg, i)
+        zero = alg.constant_index(i)
         s = t.shape[0]
         a, b = np.indices((s, s))
         meet = t[a, b, np.full_like(a, zero)]
         join = t[a, a, b]
         minus = t[b, np.full_like(a, zero), a]  # a \ b = t(b, 0, a)
-        return SkewTable(s, meet, join, minus, zero, _label_tuple(alg, s),
+        return SkewTable(s, meet, join, minus, zero, _label_tuple(alg),
                          q3=t, base=alg, index=i)
     if kind == "rchurch":
         if not 1 <= i <= n:
             raise ValueError(f"index {i} out of 1..{n}")
         t = _t_table(alg, frozenset({i}))
-        return RightChurchTable(t.shape[0], t, _const_index(alg, i),
-                                _label_tuple(alg, t.shape[0]), base=alg, index=i)
+        return RightChurchTable(t.shape[0], t, alg.constant_index(i), _label_tuple(alg),
+                                base=alg, index=i)
     if kind == "church":
         dset = frozenset(d)
         if i not in dset or (j in dset) or not dset:
             raise ValueError("church reduct needs i in d and j outside d")
         t = _t_table(alg, dset)
-        return ChurchTable(t.shape[0], t, _const_index(alg, i), _const_index(alg, j),
-                           _label_tuple(alg, t.shape[0]), base=alg, d=dset)
+        return ChurchTable(t.shape[0], t, alg.constant_index(i), alg.constant_index(j),
+                           _label_tuple(alg), base=alg, d=dset)
     raise ValueError(f"unknown reduct kind {kind!r}")
-
-
-def _const_index(alg, k: int) -> int:
-    if isinstance(alg, TableAlgebra):
-        return alg.constant_index(k)
-    return alg.index(alg.constant(k))
-
-
-def _label_tuple(alg, s: int) -> tuple:
-    return tuple(alg.element_label(i) for i in range(s))
 
 
 def star_of(alg) -> StarTable:
     """Table-level skew-star companion: all singleton t_i plus their zeros."""
     n = alg.n
     tables = tuple(_t_table(alg, frozenset({i})) for i in range(1, n + 1))
-    zeros = tuple(_const_index(alg, i) for i in range(1, n + 1))
-    s = tables[0].shape[0]
-    return StarTable(n, s, tables, zeros, _label_tuple(alg, s))
+    zeros = tuple(alg.constant_index(i) for i in range(1, n + 1))
+    return StarTable(n, alg.size, tables, zeros, _label_tuple(alg))
 
 
 def nba_of_star(st: StarTable) -> TableAlgebra:
@@ -243,15 +226,10 @@ class AxiomReport:
 
 def _run_axiom(ax: Axiom, size: int, labels, budget, samples, seed) -> AxiomOutcome:
     v = len(ax.varnames)
-    total = size**v
-    if total <= budget:
-        mode = "exhaustive"
-        idx = np.arange(total, dtype=np.int64)
-        arrays = [(idx // size**t) % size for t in range(v)]
+    if size**v <= budget:
+        mode, arrays = "exhaustive", _assignment_arrays(v, size, budget)
     else:
-        mode = "sampled"
-        rng = np.random.default_rng(seed)
-        arrays = [rng.integers(0, size, size=samples, dtype=np.int64) for _ in range(v)]
+        mode, arrays = "sampled", _sampled_arrays(v, size, samples, seed)
     env = dict(zip(ax.varnames, arrays))
     if not arrays:
         env = {}
@@ -281,7 +259,7 @@ def run_suite(suite_name: str, axioms: Sequence[Axiom], size: int, labels,
 def nba_axioms(alg) -> list:
     n = alg.n
     q = alg.q_vec
-    const = lambda k, ref: np.full_like(ref, _const_index(alg, k))
+    const = lambda k, ref: np.full_like(ref, alg.constant_index(k))
     axs = []
     for i in range(1, n + 1):
         names = tuple(f"x{t}" for t in range(1, n + 1))
@@ -292,33 +270,7 @@ def nba_axioms(alg) -> list:
 
         axs.append(Axiom(f"B0[{i}]", names, b0))
 
-    def b1(env):
-        return q(env["y"], [env["x"]] * n), env["x"]
-
-    axs.append(Axiom("B1", ("y", "x"), b1))
-
-    mat = tuple(f"x{r}{c}" for r in range(1, n + 1) for c in range(1, n + 1))
-
-    def b2(env):
-        y = env["y"]
-        rows = [q(y, [env[f"x{r}{c}"] for c in range(1, n + 1)]) for r in range(1, n + 1)]
-        diag = [env[f"x{k}{k}"] for k in range(1, n + 1)]
-        return q(y, rows), q(y, diag)
-
-    axs.append(Axiom("B2", ("y",) + mat, b2))
-
-    mat3 = tuple(f"x{r}{c}" for r in range(1, n + 1) for c in range(0, n + 1))
-
-    def b3(env):
-        y = env["y"]
-        lhs = q(y, [q(env[f"x{r}0"], [env[f"x{r}{c}"] for c in range(1, n + 1)])
-                    for r in range(1, n + 1)])
-        scr = q(y, [env[f"x{r}0"] for r in range(1, n + 1)])
-        rhs = q(scr, [q(y, [env[f"x{r}{c}"] for r in range(1, n + 1)])
-                      for c in range(1, n + 1)])
-        return lhs, rhs
-
-    axs.append(Axiom("B3", ("y",) + mat3, b3))
+    axs += _decomposition_axioms(alg, "B", ("y",), lambda env, ref: env["y"])
 
     def b4(env):
         y = env["y"]
@@ -508,8 +460,7 @@ def check_axioms(obj, suite: str, budget=DEFAULT_BUDGET, samples=DEFAULT_SAMPLES
     if suite == "NBA":
         if not isinstance(obj, (PowerAlgebra, TableAlgebra)):
             raise TypeError("NBA suite needs a q-signature algebra")
-        size = obj.size if isinstance(obj, TableAlgebra) else len(obj.elements())
-        return run_suite("NBA", nba_axioms(obj), size, _label_tuple(obj, size),
+        return run_suite("NBA", nba_axioms(obj), obj.size, _label_tuple(obj),
                          budget, samples, seed)
     if suite in ("SKEW_LATTICE", "SKEW_BA", "RIGHT_HANDED"):
         if not isinstance(obj, SkewTable):
@@ -585,7 +536,8 @@ def relations(sk: SkewTable, budget=DEFAULT_BUDGET) -> RelationBundle:
     lh_ident = bool(np.all(m[m[a, b], a] == m[a, b]))
     right_handed = bool(np.array_equal(r, d))
     left_handed = bool(np.array_equal(l, d))
-    assert right_handed == rh_ident and left_handed == lh_ident
+    if right_handed != rh_ident or left_handed != lh_ident:
+        raise ValueError("handedness from the relations disagrees with the identities")
     return RelationBundle(leq, preceq, pl, pr, d, l, r, right_handed, left_handed)
 
 
@@ -604,45 +556,57 @@ def equivalence_is_congruence(rel: np.ndarray, tables: Sequence[np.ndarray]) -> 
 # -- element classification --------------------------------------------------
 
 
-def _factor_axioms_nary(alg, e_idx: int) -> list:
-    """D1-D3 for f = q(e, -, ..., -) on a q-signature algebra."""
+def _decomposition_axioms(alg, prefix: str, lead: tuple, scrutinee) -> list:
+    """Axioms 1-3 of the n-ary decomposition operation f = q(s, -, ..., -).
+
+    f(x, ..., x) = x; f of the rows of f equals f of the diagonal; f
+    commutes with q.  The nBA axioms B1-B3 take s = y, a variable (lead
+    ("y",)); the factor axioms D1-D3 take s = e, a fixed element (lead ()).
+    scrutinee(env, ref) gives s as an array shaped like ref.
+    """
     n = alg.n
     q = alg.q_vec
 
-    def f(args):
-        ref = args[0]
-        return q(np.full_like(ref, e_idx), list(args))
+    def f(env, args):
+        return q(scrutinee(env, args[0]), list(args))
 
     names2 = tuple(f"x{r}{c}" for r in range(1, n + 1) for c in range(1, n + 1))
     names3 = tuple(f"x{r}{c}" for r in range(1, n + 1) for c in range(0, n + 1))
 
-    def d1(env):
-        return f([env["x"]] * n), env["x"]
+    def a1(env):
+        return f(env, [env["x"]] * n), env["x"]
 
-    def d2(env):
-        rows = [f([env[f"x{r}{c}"] for c in range(1, n + 1)]) for r in range(1, n + 1)]
-        return f(rows), f([env[f"x{k}{k}"] for k in range(1, n + 1)])
+    def a2(env):
+        rows = [f(env, [env[f"x{r}{c}"] for c in range(1, n + 1)]) for r in range(1, n + 1)]
+        return f(env, rows), f(env, [env[f"x{k}{k}"] for k in range(1, n + 1)])
 
-    def d3(env):
-        cols = [f([env[f"x{r}{c}"] for r in range(1, n + 1)]) for c in range(0, n + 1)]
-        rows = [q(env[f"x{r}0"], [env[f"x{r}{c}"] for c in range(1, n + 1)])
-                for r in range(1, n + 1)]
-        return f(rows), q(cols[0], cols[1:])
+    def a3(env):  # the left side first: fewer full-length arrays live at once
+        lhs = f(env, [q(env[f"x{r}0"], [env[f"x{r}{c}"] for c in range(1, n + 1)])
+                      for r in range(1, n + 1)])
+        cols = [f(env, [env[f"x{r}{c}"] for r in range(1, n + 1)]) for c in range(0, n + 1)]
+        return lhs, q(cols[0], cols[1:])
+
+    return [
+        Axiom(f"{prefix}1", lead + ("x",), a1),
+        Axiom(f"{prefix}2", lead + names2, a2),
+        Axiom(f"{prefix}3", lead + names3, a3),
+    ]
+
+
+def _factor_axioms_nary(alg, e_idx: int) -> list:
+    """D1-D3 for f = q(e, -, ..., -) on a q-signature algebra, plus D3-const."""
+    n = alg.n
 
     def d3_const(env):
         ref = env["x"]
         outs = []
         for k in range(1, n + 1):
-            ck = np.full_like(ref, _const_index(alg, k))
-            outs.append(f([ck] * n) == ck)
+            ck = np.full_like(ref, alg.constant_index(k))
+            outs.append(alg.q_vec(np.full_like(ref, e_idx), [ck] * n) == ck)
         return np.all(np.stack(outs), axis=0), np.ones_like(ref, dtype=bool)
 
-    return [
-        Axiom("D1", ("x",), d1),
-        Axiom("D2", names2, d2),
-        Axiom("D3", names3, d3),
-        Axiom("D3-const", ("x",), d3_const),
-    ]
+    factor = _decomposition_axioms(alg, "D", (), lambda env, ref: np.full_like(ref, e_idx))
+    return factor + [Axiom("D3-const", ("x",), d3_const)]
 
 
 def is_element_kind(alg, e, kind, i: int = None, budget=DEFAULT_BUDGET,
@@ -654,8 +618,8 @@ def is_element_kind(alg, e, kind, i: int = None, budget=DEFAULT_BUDGET,
     """
     kind = kind.lower()
     e_idx = e if isinstance(e, int) else alg.index(tuple(e))
-    size = alg.size if isinstance(alg, TableAlgebra) else len(alg.elements())
-    labels = _label_tuple(alg, size)
+    size = alg.size
+    labels = _label_tuple(alg)
     if kind == "factor":
         rep = run_suite("FACTOR", _factor_axioms_nary(alg, e_idx), size, labels,
                         budget, samples, seed)
@@ -686,7 +650,7 @@ def is_element_kind(alg, e, kind, i: int = None, budget=DEFAULT_BUDGET,
     if kind == "central":
         q = alg.q_vec
         ref = np.array([e_idx], dtype=np.int64)
-        consts = [np.full_like(ref, _const_index(alg, k)) for k in range(1, alg.n + 1)]
+        consts = [np.full_like(ref, alg.constant_index(k)) for k in range(1, alg.n + 1)]
         if int(q(ref, consts)[0]) != e_idx:
             return False
         return is_element_kind(alg, e_idx, "factor", budget=budget,
@@ -736,7 +700,7 @@ def boolean_center(alg, cp: CenterParams) -> BooleanCenter:
     """The Boolean algebra on {x : x meet_i e_j = x}."""
     i, j = cp.i, cp.j
     sk = reduct(alg, "skew", i=i)
-    ej = _const_index(alg, j)
+    ej = alg.constant_index(j)
     size = sk.size
     members = tuple(a for a in range(size) if int(sk.meet[a, ej]) == a)
     loc = {a: t for t, a in enumerate(members)}

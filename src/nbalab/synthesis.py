@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import TableAlgebra, generator
+from .core import generator
 from .terms import Const, Q, Term, Var, eval_term, free_vars
 
 
@@ -149,45 +149,3 @@ def table_of_term(t: Term, n: int, k: int) -> TruthTable:
         env = {name: (v,) for name, v in zip(names, args)}
         entries.append(eval_term(t, env, alg)[0])
     return TruthTable(n, k, tuple(entries))
-
-
-# -- best-effort primality probe for raw tables -----------------------------
-
-
-def find_selector_term(alg: TableAlgebra, max_depth: int = 2) -> Optional[dict]:
-    """Best-effort search for a selector-like term operation on a raw table.
-
-    Only meaningful for carriers of size <= 4; returns a witness
-    operation table (as nested tuples) satisfying the selector law
-    q(c_i, x_1..x_n) = x_i on the designated constants, or None.  This
-    is a heuristic probe, not a decision procedure.
-    """
-    if alg.size > 4:
-        raise ValueError("primality probe supports carriers of size <= 4 only")
-    n = alg.n
-    tab = alg.q_table()
-    ok = True
-    for i in range(1, n + 1):
-        ci = alg.constant_index(i)
-        for args in itertools.product(range(alg.size), repeat=n):
-            if int(tab[(ci, *args)]) != args[i - 1]:
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        return {"witness": "fundamental", "depth": 0}
-    # depth-1 compositions: q with one argument slot pre-permuted by q(e_s, ...)
-    for perm in itertools.permutations(range(1, n + 1)):
-        good = True
-        for i in range(1, n + 1):
-            ci = alg.constant_index(perm[i - 1])
-            for args in itertools.product(range(alg.size), repeat=n):
-                if int(tab[(ci, *args)]) != args[i - 1]:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return {"witness": "constant-permuted", "permutation": list(perm), "depth": 1}
-    return None

@@ -277,7 +277,7 @@ def eval_vec(t: Term, env: dict, alg) -> np.ndarray:
             raise TermError(f"unbound variable {t.name!r}")
         return env[t.name]
     if isinstance(t, Const):
-        k = alg.index(alg.constant(t.k)) if hasattr(alg, "constant") else alg.constant_index(t.k)
+        k = alg.constant_index(t.k)
         some = next(iter(env.values()), None)
         return np.full_like(some, k) if some is not None else np.array([k])
     t = elaborate(t, alg.n) if not isinstance(t, Q) else t

@@ -72,8 +72,6 @@ def derived_bin(kind: str, d, x: Element, y: Element, alg: PowerAlgebra,
                 i: int = None, j: int = None) -> Element:
     """The five binary operations; i defaults to min(d), j to min outside d."""
     d = frozenset(d)
-    if kind in ("meet", "minus") or kind == "join":
-        pass
     if kind == "meet":
         i = min(d) if i is None else i
         return t_eval(d, x, y, alg.constant(i), alg)
@@ -100,7 +98,8 @@ def derived_bin(kind: str, d, x: Element, y: Element, alg: PowerAlgebra,
 def perm_apply(x: Element, sigma: Permutation, alg: PowerAlgebra) -> Element:
     """x^sigma = q(x, e_{sigma 1}, ..., e_{sigma n})."""
     out = alg.q(tuple(x), [alg.constant(sigma(k)) for k in range(1, alg.n + 1)])
-    assert out == tuple(sigma(v) for v in x), "action must agree pointwise"
+    if out != tuple(sigma(v) for v in x):
+        raise ValueError("the action must agree with sigma pointwise")
     return out
 
 

@@ -203,3 +203,30 @@ def test_output_is_deterministic(capsys, power_file):
     _, out1 = run(capsys, ["congruences", "--algebra", path])
     _, out2 = run(capsys, ["congruences", "--algebra", path])
     assert out1 == out2
+
+
+@pytest.fixture
+def mutated_table_file(tmp_path):
+    """2^3 as a raw table with one q entry changed: not an nBA."""
+    tab = core.table_of_power(core.power_algebra(2, 3)).mutate((3, 5, 6), 0)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(tab.to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["ultras", "embed"])
+def test_non_nba_table_exits_1_with_a_reason(capsys, mutated_table_file, command):
+    code = main([command, "--algebra", mutated_table_file])
+    captured = capsys.readouterr()
+    assert code == 1 and "homomorphism" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+
+
+def test_open_subpower_exits_2(capsys, tmp_path):
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({"n": 3, "kind": "subpower", "points": 2,
+                                "carrier": [[1, 1], [1, 2], [2, 2], [3, 3]]}))
+    code = main(["congruences", "--algebra", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not closed under q" in captured.err and "Traceback" not in captured.err

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from nbalab import core
@@ -126,3 +127,37 @@ def test_json_round_trips():
 def test_carrier_must_contain_constants():
     with pytest.raises(ValueError):
         core.PowerAlgebra(3, 2, ((1, 1), (2, 2)))
+
+
+@pytest.mark.parametrize("alg", [
+    core.power_algebra(3, 0),
+    core.power_algebra(2, 3),
+    core.power_algebra(3, 2),
+    core.subalgebra_closure(core.power_algebra(2, 4), [(1, 2, 1, 2)]),
+], ids=["3^0", "2^3", "3^2", "sub-2^4"])
+def test_power_and_its_table_share_one_interface(alg):
+    tab = core.table_of_power(alg)
+    assert tab.size == alg.size
+    for k in range(1, alg.n + 1):
+        assert tab.constant_index(k) == alg.constant_index(k) == alg.index(alg.constant(k))
+    els = alg.elements()
+    expect = [alg.index(alg.q(els[c[0]], [els[b] for b in c[1:]]))
+              for c in itertools.product(range(alg.size), repeat=alg.n + 1)]
+    assert alg.q_table().ravel().tolist() == expect
+    assert np.array_equal(tab.q_table(), alg.q_table())
+    rng = np.random.default_rng(11)
+    s, *ys = (rng.integers(0, alg.size, 300) for _ in range(alg.n + 1))
+    assert np.array_equal(alg.q_vec(s, ys), tab.q_vec(s, ys))
+
+
+def test_table_algebra_caches_its_q_table():
+    tab = core.table_of_power(core.power_algebra(2, 2))
+    assert tab.q_table() is tab.q_table()
+
+
+def test_q_table_on_an_open_carrier_raises():
+    alg = core.PowerAlgebra(3, 2, ((1, 1), (1, 2), (2, 2), (3, 3)))
+    with pytest.raises(core.ShapeError, match="not closed under q"):
+        alg.q_table()
+    with pytest.raises(core.ShapeError, match="not closed under q"):
+        core.algebra_from_json(alg.to_json())

@@ -1,9 +1,17 @@
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import nbalab
 from nbalab import core
 from nbalab.ideals import (
     Congruence,
     Multideal,
+    StoneEmbedding,
     all_congruences,
     all_homs_onto_generator,
     all_proper_multideals,
@@ -198,3 +206,63 @@ def test_boolean_view_on_2_3():
         assert idx(A23, A23.constant(1)) in i1
     with pytest.raises(core.DimensionError):
         boolean_ideal_filter_view(A32, all_proper_multideals(A32)[0])
+
+
+A22 = core.power_algebra(2, 2)
+
+
+def _q_on_all_tuples(alg):
+    return [(combo[0], list(combo[1:]), alg.q_idx(combo[0], list(combo[1:])))
+            for combo in itertools.product(range(alg.size), repeat=alg.n + 1)]
+
+
+def test_preserves_q_matches_a_loop_over_every_bijection():
+    target = stone_embed(A22).target
+    for alg in (A22, core.table_of_power(A22)):
+        table = _q_on_all_tuples(alg)
+        kept = 0
+        for perm in itertools.permutations(target.elements()):
+            emb = StoneEmbedding(alg, target, perm)
+            by_loop = all(perm[r] == target.q(perm[x], [perm[y] for y in ys])
+                          for x, ys, r in table)
+            assert emb.preserves_q() == by_loop
+            kept += by_loop
+        assert kept == 2  # the identity and the swap of the two points
+
+
+def test_is_compatible_matches_a_loop_over_every_equivalence():
+    for alg in (A22, core.table_of_power(A22)):
+        table = _q_on_all_tuples(alg)
+        found = {Congruence(alg, b) for b in itertools.product(range(4), repeat=4)}
+        compatible = 0
+        for th in found:
+            rep = [c[0] for c in th.classes()]
+            by_loop = all(th.related(r, alg.q_idx(rep[th.blocks[x]],
+                                                  [rep[th.blocks[y]] for y in ys]))
+                          for x, ys, r in table)
+            assert th.is_compatible() == by_loop
+            compatible += by_loop
+        assert len(found) == 15 and compatible == len(all_congruences(alg)) == 4
+
+
+def test_boolean_view_rejects_a_non_ideal():
+    e1, e2 = idx(A23, A23.constant(1)), idx(A23, A23.constant(2))
+    fake = Multideal(A23, (frozenset({e1}), frozenset({e2, idx(A23, (1, 2, 2))})))
+    with pytest.raises(ValueError, match="Boolean view fails"):
+        boolean_ideal_filter_view(A23, fake)
+
+
+def test_hom_of_ultra_raises_on_a_non_hom_under_python_O():
+    code = textwrap.dedent("""
+        from nbalab import core, ideals
+        u = ideals.ultra_of_hom(core.power_algebra(2, 2), (1, 1, 1, 2))
+        try:
+            ideals.hom_of_ultra(u)
+        except ValueError:
+            print("raised")
+    """)
+    src = os.path.dirname(os.path.dirname(nbalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stdout.strip() == "raised", proc.stderr

@@ -33,6 +33,20 @@ class UsageError(Exception):
     pass
 
 
+def _load_nba(path: str):
+    """Load an algebra for a command that assumes the nBA axioms.
+
+    Powers and subpowers are nBAs by construction; a raw table is audited
+    first, and a refuted axiom is reported with its counterexample.
+    """
+    alg = _load_algebra(path)
+    if isinstance(alg, core.TableAlgebra):
+        fail = skew.check_axioms(alg, "NBA").first_failure()
+        if fail is not None:
+            raise ValueError(f"not an nBA: {fail.name} fails at {fail.counterexample}")
+    return alg
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -149,7 +163,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_congruences(args) -> int:
-    alg = _load_algebra(args.algebra)
+    alg = _load_nba(args.algebra)
     cons = ideals.all_congruences(alg)
     mids = [ideals.multideal_of(th) for th in cons if not th.is_total]
     out = {
@@ -163,7 +177,7 @@ def cmd_congruences(args) -> int:
 
 
 def cmd_multideals(args) -> int:
-    alg = _load_algebra(args.algebra)
+    alg = _load_nba(args.algebra)
     if args.validate:
         try:
             with open(args.validate, encoding="utf-8") as fh:

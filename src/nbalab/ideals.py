@@ -420,7 +420,10 @@ def admissible_atoms(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2
 
     An atom works iff it lies below the complement of join(I_*).
     """
-    bc = boolean_center(alg, cp)
+    return _admissible_atoms(boolean_center(alg, cp), ideal, cp)
+
+
+def _admissible_atoms(bc, ideal: Multideal, cp: CenterParams) -> list:
     loc = {a: t for t, a in enumerate(bc.members)}
     j0 = bc.table.zero
     for a in bc.members:
@@ -433,18 +436,23 @@ def admissible_atoms(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2
 def extend_to_ultra(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2),
                     atom: Optional[int] = None) -> Multideal:
     """G_k = {x : x_k in the principal ultrafilter over the chosen atom}."""
+    return _extend_to_ultra(alg, ideal, cp, atom, boolean_center(alg, cp),
+                            _coordinate_indices(alg, cp))
+
+
+def _extend_to_ultra(alg, ideal: Multideal, cp: CenterParams, atom: Optional[int],
+                     bc, coords: list) -> Multideal:
+    """extend_to_ultra on a built Boolean center and coordinate table."""
     if ideal.degenerate:
         raise ValueError("cannot extend the degenerate multideal")
-    admissible = admissible_atoms(alg, ideal, cp)
+    admissible = _admissible_atoms(bc, ideal, cp)
     if atom is None:
         if not admissible:
             raise ValueError("no admissible atom")
         atom = admissible[0]
     elif atom not in admissible:
         raise ValueError(f"atom {atom} does not extend the multideal")
-    bc = boolean_center(alg, cp)
     loc = {a: t for t, a in enumerate(bc.members)}
-    coords = _coordinate_indices(alg, cp)
     size = alg.size
     comps = [set() for _ in range(alg.n)]
     for x in range(size):
@@ -464,12 +472,13 @@ def extend_to_ultra(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2)
 def all_ultramultideals(alg, cp: CenterParams = CenterParams(1, 2)) -> list:
     """One ultramultideal per atom of the Boolean center."""
     bc = boolean_center(alg, cp)
+    coords = _coordinate_indices(alg, cp)
     minimum = Multideal(
         alg, tuple(frozenset({alg.constant_index(k)}) for k in range(1, alg.n + 1))
     )
     seen = {}
     for atom in bc.atoms():
-        u = extend_to_ultra(alg, minimum, cp, atom)
+        u = _extend_to_ultra(alg, minimum, cp, atom, bc, coords)
         seen.setdefault(u.components, u)
     return sorted(seen.values(), key=lambda u: tuple(sorted(u.components[0])))
 

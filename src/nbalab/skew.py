@@ -2,7 +2,10 @@
 
 Audits evaluate identities over all assignments of carrier elements
 (vectorised), falling back to deterministic sampling past a budget.
-They run on raw tables, so candidate algebras that fail the axioms are
+Assignments stream in chunks of at most 2^16 rows (terms.CHUNK), and an
+axiom's check stops at the first chunk that holds a witness, so the
+memory of an exhaustive audit does not grow with its budget.  They run
+on raw tables, so candidate algebras that fail the axioms are
 first-class inputs.
 """
 
@@ -15,8 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import PowerAlgebra, TableAlgebra
-from .terms import (DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, _assignment_arrays,
-                    _sampled_arrays)
+from .terms import DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, assignment_chunks
 from .transforms import CenterParams
 
 
@@ -187,6 +189,7 @@ class AxiomOutcome:
     ok: bool
     mode: str
     counterexample: Optional[dict] = None
+    assignments: int = 0  # evaluated; fewer than all when refuted early
 
 
 @dataclass
@@ -226,22 +229,18 @@ class AxiomReport:
 
 def _run_axiom(ax: Axiom, size: int, labels, budget, samples, seed) -> AxiomOutcome:
     v = len(ax.varnames)
-    if size**v <= budget:
-        mode, arrays = "exhaustive", _assignment_arrays(v, size, budget)
-    else:
-        mode, arrays = "sampled", _sampled_arrays(v, size, samples, seed)
-    env = dict(zip(ax.varnames, arrays))
-    if not arrays:
-        env = {}
-        arrays = [np.zeros(1, dtype=np.int64)]
-    lhs, rhs = ax.check(env)
-    lhs, rhs = np.broadcast_arrays(np.asarray(lhs), np.asarray(rhs))
-    bad = np.nonzero(lhs != rhs)[0]
-    if bad.size == 0:
-        return AxiomOutcome(ax.name, True, mode)
-    b = int(bad[0])
-    cex = {name: labels[int(arr[b])] for name, arr in zip(ax.varnames, arrays)}
-    return AxiomOutcome(ax.name, False, mode, cex)
+    mode = "exhaustive" if size**v <= budget else "sampled"
+    count = 0
+    for chunk in assignment_chunks(v, size, mode, budget, samples, seed):
+        lhs, rhs = ax.check(dict(zip(ax.varnames, chunk)))
+        differ = np.asarray(lhs) != np.asarray(rhs)
+        count += differ.size
+        bad = np.flatnonzero(differ)
+        if bad.size:
+            b = int(bad[0])
+            cex = {name: labels[int(arr[b])] for name, arr in zip(ax.varnames, chunk)}
+            return AxiomOutcome(ax.name, False, mode, cex, count)
+    return AxiomOutcome(ax.name, True, mode, assignments=count)
 
 
 def run_suite(suite_name: str, axioms: Sequence[Axiom], size: int, labels,
@@ -701,22 +700,27 @@ def boolean_center(alg, cp: CenterParams) -> BooleanCenter:
     i, j = cp.i, cp.j
     sk = reduct(alg, "skew", i=i)
     ej = alg.constant_index(j)
-    size = sk.size
-    members = tuple(a for a in range(size) if int(sk.meet[a, ej]) == a)
-    loc = {a: t for t, a in enumerate(members)}
-    s = len(members)
-    meet = np.zeros((s, s), dtype=np.int64)
-    join = np.zeros((s, s), dtype=np.int64)
-    neg = np.zeros(s, dtype=np.int64)
     ei = sk.zero
-    for ta, a in enumerate(members):
-        neg[ta] = loc[int(sk.q3[a, ei, ej])]  # t_i(x, e_i, e_j)
-        for tb, b in enumerate(members):
-            meet[ta, tb] = loc[int(sk.meet[a, b])]
-            join[ta, tb] = loc[int(sk.join[a, b])]
+    carrier = np.arange(sk.size)
+    members = carrier[sk.meet[carrier, ej] == carrier]
+    loc = np.full(sk.size, -1, dtype=np.int64)  # local index, -1 off the center
+    loc[members] = np.arange(len(members))
+    grid = np.ix_(members, members)
+    ops = {"meet": sk.meet[grid], "join": sk.join[grid],
+           "negation": sk.q3[members, ei, ej]}  # -x = t_i(x, e_i, e_j)
+    for name, out in ops.items():
+        bad = np.argwhere(loc[out] < 0)
+        if bad.size:
+            args = ", ".join(sk.labels[a] for a in members[bad[0]])
+            raise ValueError(f"the Boolean center is not closed under {name}: {name}({args})"
+                             f" = {sk.labels[out[tuple(bad[0])]]} lies outside it")
+    for k, e in ((i, ei), (j, ej)):
+        if loc[e] < 0:
+            raise ValueError(f"the Boolean center does not contain e{k}")
     labels = tuple(sk.labels[a] for a in members)
-    bt = BoolTable(s, meet, join, neg, loc[ei], loc[ej], labels)
-    return BooleanCenter(alg, cp, members, bt)
+    bt = BoolTable(len(members), loc[ops["meet"]], loc[ops["join"]], loc[ops["negation"]],
+                   int(loc[ei]), int(loc[ej]), labels)
+    return BooleanCenter(alg, cp, tuple(int(a) for a in members), bt)
 
 
 # -- factor congruences of an element ------------------------------------------

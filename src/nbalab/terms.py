@@ -13,6 +13,7 @@ selector.  Subscripts are subsets of 1..n.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -22,6 +23,7 @@ import numpy as np
 DEFAULT_BUDGET = 10**7
 DEFAULT_SAMPLES = 10**5
 DEFAULT_SEED = 0xA11CE
+CHUNK = 1 << 16  # most assignments evaluated at once
 
 BIN_KINDS = ("and", "or", "sub", "bw", "bv")
 
@@ -304,20 +306,43 @@ class BudgetExceeded(RuntimeError):
     """Raised when an exhaustive check would exceed the budget."""
 
 
-def _assignment_arrays(nvars: int, size: int, budget: int):
+def _sampled_arrays(nvars: int, size: int, samples: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, size, size=samples, dtype=np.int64) for _ in range(nvars)]
+
+
+def assignment_chunks(nvars: int, size: int, mode: str, budget: int, samples: int,
+                      seed: int) -> Iterator[list]:
+    """Assignments of nvars variables to range(size), in chunks of at most CHUNK rows.
+
+    Each chunk is a list of nvars index arrays, row r of the chunk being one
+    assignment.  Exhaustive mode enumerates all size**nvars assignments with
+    variable 0 varying fastest, and raises BudgetExceeded if there are more
+    than budget; sampled mode draws samples seeded rows.  With no variables
+    there is one assignment, the empty one: one chunk of no arrays.
+    """
+    if mode == "sampled":
+        arrays = _sampled_arrays(nvars, size, samples, seed)
+        for lo in range(0, samples, CHUNK) if arrays else [0]:
+            yield [a[lo:lo + CHUNK] for a in arrays]
+        return
+    if mode != "exhaustive":
+        raise ValueError(f"unknown mode {mode!r}")
     total = size**nvars
     if total > budget:
         raise BudgetExceeded(
             f"{size}^{nvars} = {total} assignments exceed the budget {budget}; "
             "use sampled mode"
         )
-    idx = np.arange(total, dtype=np.int64)
-    return [(idx // size**t) % size for t in range(nvars)]
-
-
-def _sampled_arrays(nvars: int, size: int, samples: int, seed: int):
-    rng = np.random.default_rng(seed)
-    return [rng.integers(0, size, size=samples, dtype=np.int64) for _ in range(nvars)]
+    # the fast variables run through a fixed tile; each slow one is constant per chunk
+    fast = 0
+    while fast < nvars and size ** (fast + 1) <= CHUNK:
+        fast += 1
+    rows = size**fast
+    idx = np.arange(rows, dtype=np.int64)
+    tile = [(idx // size**t) % size for t in range(fast)]
+    for slow in itertools.product(range(size), repeat=nvars - fast):
+        yield tile + [np.full(rows, v, dtype=np.int64) for v in reversed(slow)]
 
 
 def check_identity(
@@ -341,29 +366,12 @@ def check_identity(
     for v in free_vars(lhs) + free_vars(rhs):
         if v not in names:
             names.append(v)
-    if mode == "exhaustive":
-        arrays = _assignment_arrays(len(names), n, budget)
-    elif mode == "sampled":
-        arrays = _sampled_arrays(len(names), n, samples, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    env = dict(zip(names, arrays))
-    if not names:
-        arrays = [np.zeros(1, dtype=np.int64)]
-        env = {"__pad__": arrays[0]}
-    l = eval_vec(lhs, env, alg)
-    r = eval_vec(rhs, env, alg)
-    bad = np.nonzero(l != r)[0]
-    if bad.size == 0:
-        if mode == "sampled":
-            return Verdict(True, "sampled", samples=samples, seed=seed)
-        return Verdict(True, "exhaustive")
-    i = int(bad[0])
-    cex = {name: f"e{int(arr[i]) + 1}" for name, arr in zip(names, arrays)}
-    return Verdict(
-        False,
-        mode,
-        counterexample=cex,
-        samples=samples if mode == "sampled" else None,
-        seed=seed if mode == "sampled" else None,
-    )
+    drawn = {"samples": samples, "seed": seed} if mode == "sampled" else {}
+    for chunk in assignment_chunks(len(names), n, mode, budget, samples, seed):
+        env = dict(zip(names, chunk))
+        bad = np.flatnonzero(eval_vec(lhs, env, alg) != eval_vec(rhs, env, alg))
+        if bad.size:
+            i = int(bad[0])
+            cex = {name: f"e{int(arr[i]) + 1}" for name, arr in zip(names, chunk)}
+            return Verdict(False, mode, counterexample=cex, **drawn)
+    return Verdict(True, mode, **drawn)

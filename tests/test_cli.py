@@ -230,3 +230,30 @@ def test_open_subpower_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "not closed under q" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["ultras", "embed"])
+def test_center_not_closed_exits_1_with_a_reason(capsys, tmp_path, command):
+    tab = core.table_of_power(core.power_algebra(2, 3)).mutate((5, 0, 7), 2)
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(tab.to_json()))
+    code = main([command, "--algebra", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and "not closed under join" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["congruences", "multideals"])
+def test_lattice_commands_audit_a_table_first(capsys, mutated_table_file, command):
+    code = main([command, "--algebra", mutated_table_file])
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert code == 1 and error.startswith("not an nBA: B")
+    assert "Traceback" not in captured.err
+
+
+def test_lattice_commands_accept_the_table_of_a_power(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(core.table_of_power(core.power_algebra(2, 2)).to_json()))
+    code, out = run(capsys, ["congruences", "--algebra", str(path)])
+    assert code == 0 and json.loads(out)["count"] == 4

@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 import nbalab
-from nbalab import core
+from nbalab import core, ideals
 from nbalab.ideals import (
     Congruence,
     Multideal,
@@ -266,3 +266,15 @@ def test_hom_of_ultra_raises_on_a_non_hom_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.stdout.strip() == "raised", proc.stderr
+
+
+def test_all_ultramultideals_builds_the_center_once(monkeypatch):
+    builds, build = [], ideals.boolean_center
+
+    def counting(alg, cp):
+        builds.append(cp)
+        return build(alg, cp)
+
+    monkeypatch.setattr(ideals, "boolean_center", counting)
+    assert len(all_ultramultideals(core.power_algebra(2, 4))) == 4
+    assert len(builds) == 1

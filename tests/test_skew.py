@@ -194,3 +194,26 @@ def test_church_reduct_shape():
     assert ch.q3.shape == (9, 9, 9)
     with pytest.raises(ValueError):
         reduct(A32, "church", i=2, d={1, 3}, j=2)
+
+
+def test_boolean_center_tables_match_a_loop_over_the_members():
+    for alg, cp in ((A32, CenterParams(1, 2)), (A32, CenterParams(3, 1)),
+                    (core.power_algebra(2, 3), CenterParams(2, 1)),
+                    (core.table_of_power(core.power_algebra(2, 3)), CenterParams(1, 2))):
+        bc = boolean_center(alg, cp)
+        sk = reduct(alg, "skew", i=cp.i)
+        ej = alg.constant_index(cp.j)
+        members = [a for a in range(alg.size) if sk.meet[a, ej] == a]
+        assert list(bc.members) == members
+        for ta, a in enumerate(members):
+            assert members[bc.table.neg[ta]] == sk.q3[a, sk.zero, ej]
+            for tb, b in enumerate(members):
+                assert members[bc.table.meet[ta, tb]] == sk.meet[a, b]
+                assert members[bc.table.join[ta, tb]] == sk.join[a, b]
+        assert members[bc.table.zero] == sk.zero and members[bc.table.one] == ej
+
+
+def test_boolean_center_not_closed_raises_value_error():
+    bad = core.table_of_power(core.power_algebra(2, 3)).mutate((5, 0, 7), 2)
+    with pytest.raises(ValueError, match=r"not closed under join: join\(#1, #4\) = #5"):
+        boolean_center(bad, CenterParams(1, 2))

@@ -129,14 +129,20 @@ class PowerAlgebra:
         return self.index(self.constant(k))
 
     def _q_codes(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:
-        """q on base-n codes of value vectors, one digit (point) at a time."""
+        """q on base-n codes of value vectors, one digit (point) at a time.
+
+        The arguments broadcast like a ufunc's.  Each point picks its branch
+        digit with a chain of np.where, which holds one branch digit at a time.
+        """
         m, n = self.points, self.n
-        out = np.zeros_like(s)
+        out = np.zeros(np.broadcast_shapes(np.shape(s), *map(np.shape, branches)), np.int64)
         for p in range(m):
             shift = n ** (m - 1 - p)
-            sel = (s // shift) % n
-            yp = np.stack([(b // shift) % n for b in branches])
-            out += np.take_along_axis(yp, sel[None], axis=0)[0] * shift
+            sel = s // shift % n
+            pick = branches[-1] // shift % n
+            for k in range(n - 2, -1, -1):
+                pick = np.where(sel == k, branches[k] // shift % n, pick)
+            out += pick * shift
         return out
 
     def q_table(self) -> np.ndarray:
@@ -146,10 +152,12 @@ class PowerAlgebra:
             # the carrier is sorted, so its codes are too
             vals = np.array(self.elements(), dtype=np.int64).reshape(self.size, self.points)
             codes = (vals - 1) @ (self.n ** np.arange(self.points - 1, -1, -1, dtype=np.int64))
-            grid = codes[np.indices((self.size,) * (self.n + 1))]
-            res = self._q_codes(grid[0], list(grid[1:]))
+            # each digit comes from one branch: q(x, ys) = sum over k of q(x, 0, .., y_k, .., 0)
+            axes = [codes.reshape((-1,) + (1,) * (self.n - a)) for a in range(self.n + 1)]
+            res = sum(self._q_codes(axes[0], [axes[k + 1] if j == k else 0 for j in range(self.n)])
+                      for k in range(self.n))
             tab = np.searchsorted(codes, res)
-            missing = np.argwhere(codes[np.minimum(tab, self.size - 1)] != res)
+            missing = np.argwhere(codes.take(tab, mode="clip") != res)
             if missing.size:  # q raises a ShapeError naming the element the carrier lacks
                 self.q_idx(int(missing[0, 0]), missing[0, 1:].tolist())
             self._cache["qtab"] = tab

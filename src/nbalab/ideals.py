@@ -7,6 +7,7 @@ index per carrier element with canonical first-occurrence labelling.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -66,12 +67,14 @@ class Congruence:
     def is_total(self) -> bool:
         return self.num_blocks == 1
 
+    def least(self) -> np.ndarray:
+        """The least element of each element's block."""
+        blk = np.asarray(self.blocks)
+        return np.unique(blk, return_index=True)[1][blk]
+
     def is_compatible(self) -> bool:
         """Exhaustive check that blocks respect q: q(xs) ~ q(representatives of xs)."""
-        tab = self.alg.q_table()
-        blk = np.asarray(self.blocks)
-        rep = np.asarray([c[0] for c in self.classes()])[blk]
-        return bool(np.array_equal(blk[tab], blk[tab[np.ix_(*[rep] * tab.ndim)]]))
+        return _violations(self.alg.q_table(), self.least())[0].size == 0
 
     def to_json(self) -> dict:
         return {"blocks": list(self.blocks)}
@@ -99,24 +102,35 @@ def total_congruence(alg) -> Congruence:
     return Congruence(alg, (0,) * alg.size)
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
+def _violations(tab: np.ndarray, lab: np.ndarray) -> tuple:
+    """The pairs (lab[q(xs)], lab[q(lab[xs])]) that differ; none iff lab's blocks are compatible."""
+    img = lab[tab]
+    rep = img[np.ix_(*[lab] * tab.ndim)]
+    bad = img != rep
+    return img[bad], rep[bad]
 
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+def _merge(lab: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-element labels after merging the blocks of a[i] and b[i] for every i."""
+    lab = lab.copy()
+    ra, rb = lab[a], lab[b]
+    while np.any(ra != rb):  # hook each root to the least root it is paired with
+        np.minimum.at(lab, ra, rb)
+        np.minimum.at(lab, rb, ra)
+        while np.any(lab[lab] != lab):  # pointer jumping: every element to its root
+            lab = lab[lab]
+        ra, rb = lab[a], lab[b]
+    return lab
+
+
+def _element_index(alg, x) -> int:
+    """A carrier index given as any integer or as an element tuple."""
+    if np.ndim(x):
+        return alg.index(tuple(x))
+    i = operator.index(x)
+    if not 0 <= i < alg.size:
+        raise ValueError(f"element index {i} out of 0..{alg.size - 1}")
+    return i
 
 
 def _grid_q(alg, arrays):
@@ -127,45 +141,23 @@ def _grid_q(alg, arrays):
 
 
 def congruence_generated(alg, pairs: Iterable[tuple]) -> Congruence:
-    """Smallest congruence containing the given pairs of carrier indices.
+    """Smallest congruence containing the given pairs of carrier indices or elements.
 
-    Fixpoint closure: whenever two elements merge, merge the images of
-    every unary polynomial translation of q applied to them.
+    Whole-table rounds merge q(xs) with q(lab[xs]) wherever their blocks differ: each such
+    pair is in the generated congruence (xs ~ lab[xs]), and the fixpoint is compatible.
     """
-    n = alg.n
-    size = alg.size
-    uf = _UnionFind(size)
-    queue = []
-    for a, b in pairs:
-        a = a if isinstance(a, int) else alg.index(tuple(a))
-        b = b if isinstance(b, int) else alg.index(tuple(b))
-        if uf.union(a, b):
-            queue.append((a, b))
-    allv = np.arange(size, dtype=np.int64)
-    while queue:
-        a, b = queue.pop()
-        for slot in range(n + 1):
-            arrays = [allv] * (n + 1)
-            arrays_a = list(arrays)
-            arrays_b = list(arrays)
-            arrays_a[slot] = np.array([a], dtype=np.int64)
-            arrays_b[slot] = np.array([b], dtype=np.int64)
-            res_a, _ = _grid_q(alg, arrays_a)
-            res_b, _ = _grid_q(alg, arrays_b)
-            for x, y in zip(res_a.tolist(), res_b.tolist()):
-                if uf.union(x, y):
-                    queue.append((x, y))
-    return Congruence(alg, tuple(uf.find(i) for i in range(size)))
+    ab = np.array([(_element_index(alg, a), _element_index(alg, b)) for a, b in pairs],
+                  dtype=np.int64).reshape(-1, 2).T
+    lab = np.arange(alg.size)
+    while ab[0].size:
+        lab = _merge(lab, *ab)
+        ab = _violations(alg.q_table(), lab)
+    return Congruence(alg, tuple(lab.tolist()))
 
 
 def join_congruences(alg, th1: Congruence, th2: Congruence) -> Congruence:
     """The join: transitive closure of the union (a congruence again)."""
-    uf = _UnionFind(th1.size)
-    for th in (th1, th2):
-        for cls in th.classes():
-            for b in cls[1:]:
-                uf.union(cls[0], b)
-    return Congruence(alg, tuple(uf.find(i) for i in range(th1.size)))
+    return Congruence(alg, tuple(_merge(th1.least(), np.arange(th2.size), th2.least()).tolist()))
 
 
 def all_congruences(alg, bound: int = CARRIER_BOUND) -> list:

@@ -133,8 +133,9 @@ def test_carrier_must_contain_constants():
     core.power_algebra(3, 0),
     core.power_algebra(2, 3),
     core.power_algebra(3, 2),
+    core.power_algebra(2, 4),
     core.subalgebra_closure(core.power_algebra(2, 4), [(1, 2, 1, 2)]),
-], ids=["3^0", "2^3", "3^2", "sub-2^4"])
+], ids=["3^0", "2^3", "3^2", "2^4", "sub-2^4"])
 def test_power_and_its_table_share_one_interface(alg):
     tab = core.table_of_power(alg)
     assert tab.size == alg.size
@@ -161,3 +162,12 @@ def test_q_table_on_an_open_carrier_raises():
         alg.q_table()
     with pytest.raises(core.ShapeError, match="not closed under q"):
         core.algebra_from_json(alg.to_json())
+
+
+def test_q_vec_broadcasts_like_the_table_lookup():
+    alg = core.power_algebra(3, 2)
+    tab = core.table_of_power(alg)
+    s = np.arange(9).reshape(9, 1)
+    ys = [np.arange(9).reshape(1, 9), np.int64(4), np.full((9, 1), 7)]
+    assert alg.q_vec(s, ys).shape == (9, 9)
+    assert np.array_equal(alg.q_vec(s, ys), tab.q_vec(s, ys))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -247,6 +248,16 @@ class TableAlgebra:
             "constants": list(self.constants),
             "q": list(self.q_flat),
         }
+
+
+def element_index(alg, x) -> int:
+    """A carrier index given as any integer or as an element tuple."""
+    if np.ndim(x):
+        return alg.index(tuple(x))
+    i = operator.index(x)
+    if not 0 <= i < alg.size:
+        raise ValueError(f"element index {i} out of 0..{alg.size - 1}")
+    return i
 
 
 def generator(n: int) -> PowerAlgebra:

@@ -7,13 +7,12 @@ index per carrier element with canonical first-occurrence labelling.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionError, PowerAlgebra, TableAlgebra, generator
+from .core import DimensionError, PowerAlgebra, TableAlgebra, element_index, generator
 from .skew import boolean_center, reduct, _label_tuple
 from .transforms import CenterParams
 
@@ -123,16 +122,6 @@ def _merge(lab: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lab
 
 
-def _element_index(alg, x) -> int:
-    """A carrier index given as any integer or as an element tuple."""
-    if np.ndim(x):
-        return alg.index(tuple(x))
-    i = operator.index(x)
-    if not 0 <= i < alg.size:
-        raise ValueError(f"element index {i} out of 0..{alg.size - 1}")
-    return i
-
-
 def _grid_q(alg, arrays):
     """q over a meshgrid of index arrays; returns flat result array."""
     grids = np.meshgrid(*arrays, indexing="ij")
@@ -146,7 +135,7 @@ def congruence_generated(alg, pairs: Iterable[tuple]) -> Congruence:
     Whole-table rounds merge q(xs) with q(lab[xs]) wherever their blocks differ: each such
     pair is in the generated congruence (xs ~ lab[xs]), and the fixpoint is compatible.
     """
-    ab = np.array([(_element_index(alg, a), _element_index(alg, b)) for a, b in pairs],
+    ab = np.array([(element_index(alg, a), element_index(alg, b)) for a, b in pairs],
                   dtype=np.int64).reshape(-1, 2).T
     lab = np.arange(alg.size)
     while ab[0].size:
@@ -249,8 +238,7 @@ def validate_multideal(alg, candidate) -> ValidationResult:
     n = alg.n
     size = alg.size
     labels = _label_tuple(alg)
-    comps = [frozenset(x if isinstance(x, int) else alg.index(tuple(x)) for x in c)
-             for c in candidate]
+    comps = [frozenset(element_index(alg, x) for x in c) for c in candidate]
     if len(comps) != n:
         return ValidationResult("invalid", "shape", {"expected": n, "got": len(comps)})
     for k in range(1, n + 1):
@@ -308,10 +296,7 @@ def multideal_from_sets(alg, candidate) -> Multideal:
         return degenerate_multideal(alg)
     if res.status == "invalid":
         raise ValueError(f"not a multideal: {res.clause} fails at {res.witness}")
-    comps = tuple(
-        frozenset(x if isinstance(x, int) else alg.index(tuple(x)) for x in c)
-        for c in candidate
-    )
+    comps = tuple(frozenset(element_index(alg, x) for x in c) for c in candidate)
     return Multideal(alg, comps)
 
 
@@ -325,7 +310,7 @@ def ideal_closure(alg, seed) -> Multideal:
         comps[k].add(alg.constant_index(k + 1))
     for k, part in enumerate(seed):
         for x in part:
-            comps[k].add(x if isinstance(x, int) else alg.index(tuple(x)))
+            comps[k].add(element_index(alg, x))
     changed = True
     while changed:
         changed = False
@@ -497,21 +482,22 @@ def ultra_of_hom(alg, h: Sequence[int]) -> Multideal:
     return Multideal(alg, tuple(frozenset(c) for c in comps))
 
 
+def _preserves_q(alg, img: np.ndarray, target) -> bool:
+    """img[q(x, ys)] == q(img[x], img[ys]) in target, over alg's whole cached q table."""
+    args = np.ix_(*[img] * (alg.n + 1))  # open grids: the target's q broadcasts them
+    return bool(np.array_equal(img[alg.q_table()], target.q_vec(args[0], args[1:])))
+
+
 def is_hom_onto_generator(alg, h: Sequence[int]) -> bool:
     """h maps carrier indices to 1..n; check surjective q-homomorphism."""
     n = alg.n
-    size = alg.size
     hv = np.asarray(h, dtype=np.int64)
     if set(h) != set(range(1, n + 1)):
         return False
     for k in range(1, n + 1):
         if hv[alg.constant_index(k)] != k:
             return False
-    allv = np.arange(size, dtype=np.int64)
-    res, flat = _grid_q(alg, [allv] * (n + 1))
-    himg = np.stack([hv[flat[s]] for s in range(1, n + 1)])
-    expect = np.take_along_axis(himg, (hv[flat[0]] - 1)[None], axis=0)[0]
-    return bool(np.all(hv[res] == expect))
+    return _preserves_q(alg, hv - 1, generator(n))  # e_k is index k-1 of the generator
 
 
 def all_homs_onto_generator(alg) -> list:
@@ -613,9 +599,7 @@ class StoneEmbedding:
     def preserves_q(self) -> bool:
         """img[q(x, ys)] == q(img[x], img[ys]) over the source's whole q table."""
         img = np.asarray([self.target.index(e) for e in self.images], dtype=np.int64)
-        tab = self.alg.q_table()
-        args = img[np.indices(tab.shape)]
-        return bool(np.array_equal(img[tab], self.target.q_vec(args[0], list(args[1:]))))
+        return _preserves_q(self.alg, img, self.target)
 
 
 def stone_embed(alg, cp: CenterParams = CenterParams(1, 2)) -> StoneEmbedding:

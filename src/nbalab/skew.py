@@ -1,24 +1,35 @@
 """Reducts, skew-lattice relations, axiom audits and the Boolean center.
 
+An axiom is a row (name, variables, lhs, rhs) whose sides are operation
+terms: a name, or a tuple (op, *args).  A suite binds its rows to one
+ops dict of named tables and constants, e.g. {"meet": sk.meet, "0":
+sk.zero} for the skew suites, or terms.q_ops(alg) (q and e1..en) for the
+nBA axioms; terms.evaluate computes both sides over arrays of carrier
+indices, and constants broadcast as scalars.  Pinning a variable to an
+element (_pin) moves it from the variables into ops: that is how the
+factor and semicentral checks of an element reuse the suites' rows.
+
 Audits evaluate identities over all assignments of carrier elements
 (vectorised), falling back to deterministic sampling past a budget.
 Assignments stream in chunks of at most 2^16 rows (terms.CHUNK), and an
-axiom's check stops at the first chunk that holds a witness, so the
-memory of an exhaustive audit does not grow with its budget.  They run
-on raw tables, so candidate algebras that fail the axioms are
-first-class inputs.
+axiom's check stops at the first chunk that holds a witness
+(terms.first_witness, shared with terms.check_identity), so the memory
+of an exhaustive audit does not grow with its budget.  They run on raw
+tables, so candidate algebras that fail the axioms are first-class
+inputs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import PowerAlgebra, TableAlgebra
-from .terms import DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, assignment_chunks
+from .core import PowerAlgebra, TableAlgebra, element_index
+from .terms import (DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, evaluate, first_witness,
+                    q_ops)
 from .transforms import CenterParams
 
 
@@ -113,10 +124,8 @@ def _label_tuple(alg) -> tuple:
 
 def _t_table(alg, d: frozenset) -> np.ndarray:
     """Dense table of t_d over carrier indices of a q-algebra."""
-    s = alg.size
-    x, y, z = np.indices((s, s, s)).reshape(3, -1)
-    branches = [z if k in d else y for k in range(1, alg.n + 1)]
-    return alg.q_vec(x, branches).reshape(s, s, s)
+    x, y, z = np.ix_(*[range(alg.size)] * 3)
+    return alg.q_vec(x, [z if k in d else y for k in range(1, alg.n + 1)])
 
 
 def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
@@ -132,10 +141,10 @@ def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
         t = _t_table(alg, dset)
         zero = alg.constant_index(i)
         s = t.shape[0]
-        a, b = np.indices((s, s))
-        meet = t[a, b, np.full_like(a, zero)]
+        a, b = np.ix_(range(s), range(s))
+        meet = t[a, b, zero]
         join = t[a, a, b]
-        minus = t[b, np.full_like(a, zero), a]  # a \ b = t(b, 0, a)
+        minus = t[b, zero, a]  # a \ b = t(b, 0, a)
         return SkewTable(s, meet, join, minus, zero, _label_tuple(alg),
                          q3=t, base=alg, index=i)
     if kind == "rchurch":
@@ -178,9 +187,32 @@ def nba_of_star(st: StarTable) -> TableAlgebra:
 
 @dataclass(frozen=True)
 class Axiom:
+    """lhs = rhs for every value of varnames; both sides are operation terms over ops."""
+
     name: str
     varnames: tuple
-    check: Callable  # (env: dict name->array) -> (lhs, rhs) arrays
+    lhs: object
+    rhs: object
+    ops: dict = field(compare=False, repr=False)
+
+    def check(self, env: dict) -> tuple:
+        return evaluate(self.lhs, env, self.ops), evaluate(self.rhs, env, self.ops)
+
+
+def _axioms(ops: dict, rows) -> list:
+    """Axioms from rows (name, variables separated by spaces, lhs, rhs)."""
+    return [Axiom(name, tuple(vs.split()), lhs, rhs, ops) for name, vs, lhs, rhs in rows]
+
+
+def _pin(ax: Axiom, var: str, value: int) -> Axiom:
+    """ax with var no longer quantified but bound to the element value."""
+    return replace(ax, varnames=tuple(v for v in ax.varnames if v != var),
+                   ops={**ax.ops, var: value})
+
+
+def _op(name: str):
+    """A constructor of operation terms (name, *args)."""
+    return lambda *args: (name, *args)
 
 
 @dataclass
@@ -230,17 +262,12 @@ class AxiomReport:
 def _run_axiom(ax: Axiom, size: int, labels, budget, samples, seed) -> AxiomOutcome:
     v = len(ax.varnames)
     mode = "exhaustive" if size**v <= budget else "sampled"
-    count = 0
-    for chunk in assignment_chunks(v, size, mode, budget, samples, seed):
-        lhs, rhs = ax.check(dict(zip(ax.varnames, chunk)))
-        differ = np.asarray(lhs) != np.asarray(rhs)
-        count += differ.size
-        bad = np.flatnonzero(differ)
-        if bad.size:
-            b = int(bad[0])
-            cex = {name: labels[int(arr[b])] for name, arr in zip(ax.varnames, chunk)}
-            return AxiomOutcome(ax.name, False, mode, cex, count)
-    return AxiomOutcome(ax.name, True, mode, assignments=count)
+    differ = lambda chunk: np.not_equal(*ax.check(dict(zip(ax.varnames, chunk))))
+    wit, count = first_witness(v, size, mode, budget, samples, seed, differ)
+    if wit is None:
+        return AxiomOutcome(ax.name, True, mode, assignments=count)
+    cex = {name: labels[a] for name, a in zip(ax.varnames, wit)}
+    return AxiomOutcome(ax.name, False, mode, cex, count)
 
 
 def run_suite(suite_name: str, axioms: Sequence[Axiom], size: int, labels,
@@ -257,241 +284,162 @@ def run_suite(suite_name: str, axioms: Sequence[Axiom], size: int, labels,
 
 def nba_axioms(alg) -> list:
     n = alg.n
-    q = alg.q_vec
-    const = lambda k, ref: np.full_like(ref, alg.constant_index(k))
-    axs = []
-    for i in range(1, n + 1):
-        names = tuple(f"x{t}" for t in range(1, n + 1))
+    xs = [f"x{t}" for t in range(1, n + 1)]
+    rows = [(f"B0[{i}]", " ".join(xs), ("q", f"e{i}", *xs), xs[i - 1]) for i in range(1, n + 1)]
+    rows += _decomposition_rows(n, "B")
+    rows.append(("B4", "y", ("q", "y", *(f"e{k}" for k in range(1, n + 1))), "y"))
+    return _axioms(q_ops(alg), rows)
 
-        def b0(env, i=i, names=names):
-            ref = env[names[0]]
-            return q(const(i, ref), [env[v] for v in names]), env[names[i - 1]]
 
-        axs.append(Axiom(f"B0[{i}]", names, b0))
+def _decomposition_rows(n: int, prefix: str) -> list:
+    """Axioms 1-3 of the n-ary decomposition operation f = q(y, -, ..., -).
 
-    axs += _decomposition_axioms(alg, "B", ("y",), lambda env, ref: env["y"])
-
-    def b4(env):
-        y = env["y"]
-        return q(y, [const(k, y) for k in range(1, n + 1)]), y
-
-    axs.append(Axiom("B4", ("y",), b4))
-    return axs
+    f(x, ..., x) = x; f of the rows of f equals f of the diagonal; f
+    commutes with q.  These are the nBA axioms B1-B3; with y pinned to an
+    element e they are the factor axioms D1-D3 of e.
+    """
+    ks = range(1, n + 1)
+    f = _op("q")
+    y = lambda *args: f("y", *args)
+    x = lambda r, c: f"x{r}{c}"
+    return [
+        (f"{prefix}1", "y x", y(*["x"] * n), "x"),
+        (f"{prefix}2", " ".join(["y"] + [x(r, c) for r in ks for c in ks]),
+         y(*(y(*(x(r, c) for c in ks)) for r in ks)), y(*(x(k, k) for k in ks))),
+        (f"{prefix}3", " ".join(["y"] + [x(r, c) for r in ks for c in range(n + 1)]),
+         y(*(f(*(x(r, c) for c in range(n + 1))) for r in ks)),
+         f(*(y(*(x(r, c) for r in ks)) for c in range(n + 1)))),
+    ]
 
 
 def skew_lattice_axioms(sk: SkewTable) -> list:
-    m, j = sk.meet, sk.join
-
-    def ax(name, varnames, fn):
-        return Axiom(name, varnames, fn)
-
-    return [
-        ax("assoc-meet", ("x", "y", "z"),
-           lambda e: (m[m[e["x"], e["y"]], e["z"]], m[e["x"], m[e["y"], e["z"]]])),
-        ax("assoc-join", ("x", "y", "z"),
-           lambda e: (j[j[e["x"], e["y"]], e["z"]], j[e["x"], j[e["y"], e["z"]]])),
-        ax("idem-meet", ("x",), lambda e: (m[e["x"], e["x"]], e["x"])),
-        ax("idem-join", ("x",), lambda e: (j[e["x"], e["x"]], e["x"])),
-        ax("absorb-1", ("x", "y"), lambda e: (j[e["x"], m[e["x"], e["y"]]], e["x"])),
-        ax("absorb-2", ("x", "y"), lambda e: (m[e["x"], j[e["x"], e["y"]]], e["x"])),
-        ax("absorb-3", ("x", "y"), lambda e: (j[m[e["y"], e["x"]], e["x"]], e["x"])),
-        ax("absorb-4", ("x", "y"), lambda e: (m[j[e["y"], e["x"]], e["x"]], e["x"])),
-    ]
+    m, j = _op("meet"), _op("join")
+    return _axioms({"meet": sk.meet, "join": sk.join}, [
+        ("assoc-meet", "x y z", m(m("x", "y"), "z"), m("x", m("y", "z"))),
+        ("assoc-join", "x y z", j(j("x", "y"), "z"), j("x", j("y", "z"))),
+        ("idem-meet", "x", m("x", "x"), "x"),
+        ("idem-join", "x", j("x", "x"), "x"),
+        ("absorb-1", "x y", j("x", m("x", "y")), "x"),
+        ("absorb-2", "x y", m("x", j("x", "y")), "x"),
+        ("absorb-3", "x y", j(m("y", "x"), "x"), "x"),
+        ("absorb-4", "x y", m(j("y", "x"), "x"), "x"),
+    ])
 
 
 def skew_ba_axioms(sk: SkewTable) -> list:
-    m, j, s0 = sk.meet, sk.join, sk.zero
-    mn = sk.minus
-    axs = skew_lattice_axioms(sk)
-    axs += [
-        Axiom("S1-normality", ("x", "y", "z"),
-              lambda e: (m[m[m[e["x"], e["y"]], e["z"]], e["x"]],
-                         m[m[m[e["x"], e["z"]], e["y"]], e["x"]])),
-        Axiom("S1-dist-left", ("x", "y", "z"),
-              lambda e: (m[e["x"], j[e["y"], e["z"]]],
-                         j[m[e["x"], e["y"]], m[e["x"], e["z"]]])),
-        Axiom("S1-dist-right", ("x", "y", "z"),
-              lambda e: (m[j[e["y"], e["z"]], e["x"]],
-                         j[m[e["y"], e["x"]], m[e["z"], e["x"]]])),
-        Axiom("S2-zero-left", ("x",), lambda e: (m[np.full_like(e["x"], s0), e["x"]],
-                                                 np.full_like(e["x"], s0))),
-        Axiom("S2-zero-right", ("x",), lambda e: (m[e["x"], np.full_like(e["x"], s0)],
-                                                  np.full_like(e["x"], s0))),
-        Axiom("S3-join-1", ("x", "y"),
-              lambda e: (j[m[m[e["x"], e["y"]], e["x"]], mn[e["x"], e["y"]]], e["x"])),
-        Axiom("S3-join-2", ("x", "y"),
-              lambda e: (j[mn[e["x"], e["y"]], m[m[e["x"], e["y"]], e["x"]]], e["x"])),
-        Axiom("S3-meet-1", ("x", "y"),
-              lambda e: (m[m[m[e["x"], e["y"]], e["x"]], mn[e["x"], e["y"]]],
-                         np.full_like(e["x"], s0))),
-        Axiom("S3-meet-2", ("x", "y"),
-              lambda e: (m[mn[e["x"], e["y"]], m[m[e["x"], e["y"]], e["x"]]],
-                         np.full_like(e["x"], s0))),
-    ]
-    return axs
+    m, j, minus = _op("meet"), _op("join"), _op("minus")
+    xyx = m(m("x", "y"), "x")
+    ops = {"meet": sk.meet, "join": sk.join, "minus": sk.minus, "0": sk.zero}
+    return skew_lattice_axioms(sk) + _axioms(ops, [
+        ("S1-normality", "x y z", m(m(m("x", "y"), "z"), "x"), m(m(m("x", "z"), "y"), "x")),
+        ("S1-dist-left", "x y z", m("x", j("y", "z")), j(m("x", "y"), m("x", "z"))),
+        ("S1-dist-right", "x y z", m(j("y", "z"), "x"), j(m("y", "x"), m("z", "x"))),
+        ("S2-zero-left", "x", m("0", "x"), "0"),
+        ("S2-zero-right", "x", m("x", "0"), "0"),
+        ("S3-join-1", "x y", j(xyx, minus("x", "y")), "x"),
+        ("S3-join-2", "x y", j(minus("x", "y"), xyx), "x"),
+        ("S3-meet-1", "x y", m(xyx, minus("x", "y")), "0"),
+        ("S3-meet-2", "x y", m(minus("x", "y"), xyx), "0"),
+    ])
 
 
 def right_handed_axioms(sk: SkewTable) -> list:
-    m = sk.meet
-    return [Axiom("right-handed", ("a", "b"),
-                  lambda e: (m[m[e["a"], e["b"]], e["a"]], m[e["b"], e["a"]]))]
+    m = _op("meet")
+    return _axioms({"meet": sk.meet},
+                   [("right-handed", "a b", m(m("a", "b"), "a"), m("b", "a"))])
 
 
 def srca_axioms(q3: np.ndarray, zero: int, prefix: str = "") -> list:
-    def z(ref):
-        return np.full_like(ref, zero)
-
-    return [
-        Axiom(prefix + "RCA", ("x", "y"), lambda e: (q3[z(e["x"]), e["x"], e["y"]], e["y"])),
-        Axiom(prefix + "semicentral", ("x",), lambda e: (q3[e["x"], e["x"], z(e["x"])], e["x"])),
-        Axiom(prefix + "D1", ("w", "x"), lambda e: (q3[e["w"], e["x"], e["x"]], e["x"])),
-        Axiom(prefix + "D2", ("w", "a", "b", "c", "d"),
-              lambda e: (q3[e["w"], q3[e["w"], e["a"], e["b"]], q3[e["w"], e["c"], e["d"]]],
-                         q3[e["w"], e["a"], e["d"]])),
-        Axiom(prefix + "D3", ("w", "a1", "b1", "c1", "a2", "b2", "c2"),
-              lambda e: (q3[e["w"], q3[e["a1"], e["b1"], e["c1"]], q3[e["a2"], e["b2"], e["c2"]]],
-                         q3[q3[e["w"], e["a1"], e["a2"]],
-                            q3[e["w"], e["b1"], e["b2"]],
-                            q3[e["w"], e["c1"], e["c2"]]])),
-        Axiom(prefix + "D3-const", ("w",), lambda e: (q3[e["w"], z(e["w"]), z(e["w"])], z(e["w"]))),
-    ]
+    t = _op("t")
+    return _axioms({"t": q3, "0": zero}, [
+        (prefix + "RCA", "x y", t("0", "x", "y"), "y"),
+        (prefix + "semicentral", "x", t("x", "x", "0"), "x"),
+        (prefix + "D1", "w x", t("w", "x", "x"), "x"),
+        (prefix + "D2", "w a b c d", t("w", t("w", "a", "b"), t("w", "c", "d")), t("w", "a", "d")),
+        (prefix + "D3", "w a1 b1 c1 a2 b2 c2",
+         t("w", t("a1", "b1", "c1"), t("a2", "b2", "c2")),
+         t(t("w", "a1", "a2"), t("w", "b1", "b2"), t("w", "c1", "c2"))),
+        (prefix + "D3-const", "w", t("w", "0", "0"), "0"),
+    ])
 
 
 def skew_star_axioms(st: StarTable) -> list:
+    """N0-N5 over the operations t1..tn and the constants 01..0n."""
     n = st.n
-    axs = []
-    for i in range(1, n + 1):
-        axs += srca_axioms(st.tables[i - 1], st.zeros[i - 1], prefix=f"N0[{i}]-")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            zj = st.zeros[j - 1]
-            ti = st.tables[i - 1]
-            axs.append(Axiom(f"N1[{i},{j}]", ("y", "z"),
-                             lambda e, ti=ti, zj=zj:
-                             (ti[np.full_like(e["y"], zj), e["y"], e["z"]], e["y"])))
-
-    def n2(env):
-        x = env["x"]
-        acc = np.full_like(x, st.zeros[n - 1])
-        for s in range(n - 1, 0, -1):
-            acc = st.tables[s - 1][x, acc, np.full_like(x, st.zeros[s - 1])]
-        return acc, x
-
-    axs.append(Axiom("N2", ("x",), n2))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ti, tj = st.tables[i - 1], st.tables[j - 1]
-            axs.append(Axiom(f"N3[{i},{j}]", ("x", "y", "z", "u"),
-                             lambda e, ti=ti, tj=tj:
-                             (ti[e["x"], tj[e["x"], e["y"], e["z"]], e["u"]],
-                              tj[e["x"], ti[e["x"], e["y"], e["u"]], e["z"]])))
-    for i in range(1, n + 1):
-        def n4(env, i=i):
-            x, y, z = env["x"], env["y"], env["z"]
-            return _n4_nest(st, i, x, y, z), st.tables[i - 1][x, y, z]
-
-        axs.append(Axiom(f"N4[{i}]", ("x", "y", "z"), n4))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            ti, tj = st.tables[i - 1], st.tables[j - 1]
-            axs.append(Axiom(f"N5[{i},{j}]", ("x", "y1", "y2", "y3", "z1", "z2", "z3"),
-                             lambda e, ti=ti, tj=tj:
-                             (ti[e["x"], tj[e["y1"], e["y2"], e["y3"]],
-                                 tj[e["z1"], e["z2"], e["z3"]]],
-                              tj[ti[e["x"], e["y1"], e["z1"]],
-                                 ti[e["x"], e["y2"], e["z2"]],
-                                 ti[e["x"], e["y3"], e["z3"]]])))
-    return axs
-
-
-def _n4_nest(st: StarTable, i: int, x, y, z):
-    """t_1(x, t_2(x, ... t_{i-1}(x, t_i(x, t_{i+1}(x, ..., y), z), y) ..., y), y)."""
-    n = st.n
-    # innermost: the chain t_{i+1}(x, t_{i+2}(x, ..., y), y) ending at t_n(x, y, y)
-    if i < n:
-        acc = y
+    ks = range(1, n + 1)
+    t = {i: _op(f"t{i}") for i in ks}
+    rows = [(f"N1[{i},{j}]", "y z", t[i](f"0{j}", "y", "z"), "y")
+            for i in ks for j in ks if j != i]
+    acc = f"0{n}"
+    for s in range(n - 1, 0, -1):
+        acc = t[s]("x", acc, f"0{s}")
+    rows.append(("N2", "x", acc, "x"))
+    rows += [(f"N3[{i},{j}]", "x y z u", t[i]("x", t[j]("x", "y", "z"), "u"),
+              t[j]("x", t[i]("x", "y", "u"), "z")) for i in ks for j in range(i + 1, n + 1)]
+    for i in ks:
+        # t1(x, t2(x, ... ti(x, t{i+1}(x, ... tn(x, y, y) ..., y), z) ..., y), y)
+        acc = "y"
         for s in range(n, i, -1):
-            acc = st.tables[s - 1][x, acc, y]
-    else:
-        acc = y
-    acc = st.tables[i - 1][x, acc, z]
-    for s in range(i - 1, 0, -1):
-        acc = st.tables[s - 1][x, acc, y]
-    return acc
+            acc = t[s]("x", acc, "y")
+        acc = t[i]("x", acc, "z")
+        for s in range(i - 1, 0, -1):
+            acc = t[s]("x", acc, "y")
+        rows.append((f"N4[{i}]", "x y z", acc, t[i]("x", "y", "z")))
+    rows += [(f"N5[{i},{j}]", "x y1 y2 y3 z1 z2 z3",
+              t[i]("x", t[j]("y1", "y2", "y3"), t[j]("z1", "z2", "z3")),
+              t[j](t[i]("x", "y1", "z1"), t[i]("x", "y2", "z2"), t[i]("x", "y3", "z3")))
+             for i in ks for j in ks if i != j]
+    ops = {f"t{i}": st.tables[i - 1] for i in ks} | {f"0{i}": st.zeros[i - 1] for i in ks}
+    n0 = [ax for i in ks for ax in srca_axioms(st.tables[i - 1], st.zeros[i - 1], f"N0[{i}]-")]
+    return n0 + _axioms(ops, rows)
 
 
 def boolean_axioms(bt: BoolTable) -> list:
-    m, j, neg = bt.meet, bt.join, bt.neg
-    z = bt.zero
-    o = bt.one
-    return [
-        Axiom("comm-meet", ("x", "y"), lambda e: (m[e["x"], e["y"]], m[e["y"], e["x"]])),
-        Axiom("comm-join", ("x", "y"), lambda e: (j[e["x"], e["y"]], j[e["y"], e["x"]])),
-        Axiom("assoc-meet", ("x", "y", "z"),
-              lambda e: (m[m[e["x"], e["y"]], e["z"]], m[e["x"], m[e["y"], e["z"]]])),
-        Axiom("assoc-join", ("x", "y", "z"),
-              lambda e: (j[j[e["x"], e["y"]], e["z"]], j[e["x"], j[e["y"], e["z"]]])),
-        Axiom("absorb-1", ("x", "y"), lambda e: (m[e["x"], j[e["x"], e["y"]]], e["x"])),
-        Axiom("absorb-2", ("x", "y"), lambda e: (j[e["x"], m[e["x"], e["y"]]], e["x"])),
-        Axiom("dist", ("x", "y", "z"),
-              lambda e: (m[e["x"], j[e["y"], e["z"]]],
-                         j[m[e["x"], e["y"]], m[e["x"], e["z"]]])),
-        Axiom("compl-meet", ("x",), lambda e: (m[e["x"], neg[e["x"]]], np.full_like(e["x"], z))),
-        Axiom("compl-join", ("x",), lambda e: (j[e["x"], neg[e["x"]]], np.full_like(e["x"], o))),
-        Axiom("bottom", ("x",), lambda e: (m[e["x"], np.full_like(e["x"], z)],
-                                           np.full_like(e["x"], z))),
-        Axiom("top", ("x",), lambda e: (j[e["x"], np.full_like(e["x"], o)],
-                                        np.full_like(e["x"], o))),
-    ]
+    m, j, neg = _op("meet"), _op("join"), _op("neg")
+    ops = {"meet": bt.meet, "join": bt.join, "neg": bt.neg, "0": bt.zero, "1": bt.one}
+    return _axioms(ops, [
+        ("comm-meet", "x y", m("x", "y"), m("y", "x")),
+        ("comm-join", "x y", j("x", "y"), j("y", "x")),
+        ("assoc-meet", "x y z", m(m("x", "y"), "z"), m("x", m("y", "z"))),
+        ("assoc-join", "x y z", j(j("x", "y"), "z"), j("x", j("y", "z"))),
+        ("absorb-1", "x y", m("x", j("x", "y")), "x"),
+        ("absorb-2", "x y", j("x", m("x", "y")), "x"),
+        ("dist", "x y z", m("x", j("y", "z")), j(m("x", "y"), m("x", "z"))),
+        ("compl-meet", "x", m("x", neg("x")), "0"),
+        ("compl-join", "x", j("x", neg("x")), "1"),
+        ("bottom", "x", m("x", "0"), "0"),
+        ("top", "x", j("x", "1"), "1"),
+    ])
 
 
-SUITES = ("SKEW_LATTICE", "SKEW_BA", "RIGHT_HANDED", "SRCA", "NBA", "SKEW_STAR", "BOOLEAN")
+def _srca_of(t) -> list:
+    if t.q3 is None:
+        raise TypeError("this skew table carries no ternary selector")
+    return srca_axioms(t.q3, t.zero)
+
+
+# suite name -> (accepted types, what the suite needs, axiom builder)
+SUITES = {
+    "SKEW_LATTICE": (SkewTable, "a skew-signature table", skew_lattice_axioms),
+    "SKEW_BA": (SkewTable, "a skew-signature table", skew_ba_axioms),
+    "RIGHT_HANDED": (SkewTable, "a skew-signature table", right_handed_axioms),
+    "SRCA": ((SkewTable, RightChurchTable), "a ternary-selector table", _srca_of),
+    "NBA": ((PowerAlgebra, TableAlgebra), "a q-signature algebra", nba_axioms),
+    "SKEW_STAR": (StarTable, "a star table", skew_star_axioms),
+    "BOOLEAN": (BoolTable, "a Boolean table", boolean_axioms),
+}
 
 
 def check_axioms(obj, suite: str, budget=DEFAULT_BUDGET, samples=DEFAULT_SAMPLES,
                  seed=DEFAULT_SEED) -> AxiomReport:
     """Run an axiom suite against a table-backed algebra or reduct."""
     suite = suite.upper()
-    if suite == "NBA":
-        if not isinstance(obj, (PowerAlgebra, TableAlgebra)):
-            raise TypeError("NBA suite needs a q-signature algebra")
-        return run_suite("NBA", nba_axioms(obj), obj.size, _label_tuple(obj),
-                         budget, samples, seed)
-    if suite in ("SKEW_LATTICE", "SKEW_BA", "RIGHT_HANDED"):
-        if not isinstance(obj, SkewTable):
-            raise TypeError(f"{suite} suite needs a skew-signature table")
-        axs = {
-            "SKEW_LATTICE": skew_lattice_axioms,
-            "SKEW_BA": skew_ba_axioms,
-            "RIGHT_HANDED": right_handed_axioms,
-        }[suite](obj)
-        return run_suite(suite, axs, obj.size, obj.labels, budget, samples, seed)
-    if suite == "SRCA":
-        if isinstance(obj, SkewTable):
-            if obj.q3 is None:
-                raise TypeError("this skew table carries no ternary selector")
-            q3, zero, size, labels = obj.q3, obj.zero, obj.size, obj.labels
-        elif isinstance(obj, RightChurchTable):
-            q3, zero, size, labels = obj.q3, obj.zero, obj.size, obj.labels
-        else:
-            raise TypeError("SRCA suite needs a ternary-selector table")
-        return run_suite("SRCA", srca_axioms(q3, zero), size, labels,
-                         budget, samples, seed)
-    if suite == "SKEW_STAR":
-        if not isinstance(obj, StarTable):
-            raise TypeError("SKEW_STAR suite needs a star table")
-        return run_suite("SKEW_STAR", skew_star_axioms(obj), obj.size, obj.labels,
-                         budget, samples, seed)
-    if suite == "BOOLEAN":
-        if not isinstance(obj, BoolTable):
-            raise TypeError("BOOLEAN suite needs a Boolean table")
-        return run_suite("BOOLEAN", boolean_axioms(obj), obj.size, obj.labels,
-                         budget, samples, seed)
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    types, needs, build = SUITES[suite]
+    if not isinstance(obj, types):
+        raise TypeError(f"{suite} suite needs {needs}")
+    return run_suite(suite, build(obj), obj.size, _label_tuple(obj), budget, samples, seed)
 
 
 # -- skew-lattice relations -------------------------------------------------
@@ -555,57 +503,12 @@ def equivalence_is_congruence(rel: np.ndarray, tables: Sequence[np.ndarray]) -> 
 # -- element classification --------------------------------------------------
 
 
-def _decomposition_axioms(alg, prefix: str, lead: tuple, scrutinee) -> list:
-    """Axioms 1-3 of the n-ary decomposition operation f = q(s, -, ..., -).
-
-    f(x, ..., x) = x; f of the rows of f equals f of the diagonal; f
-    commutes with q.  The nBA axioms B1-B3 take s = y, a variable (lead
-    ("y",)); the factor axioms D1-D3 take s = e, a fixed element (lead ()).
-    scrutinee(env, ref) gives s as an array shaped like ref.
-    """
-    n = alg.n
-    q = alg.q_vec
-
-    def f(env, args):
-        return q(scrutinee(env, args[0]), list(args))
-
-    names2 = tuple(f"x{r}{c}" for r in range(1, n + 1) for c in range(1, n + 1))
-    names3 = tuple(f"x{r}{c}" for r in range(1, n + 1) for c in range(0, n + 1))
-
-    def a1(env):
-        return f(env, [env["x"]] * n), env["x"]
-
-    def a2(env):
-        rows = [f(env, [env[f"x{r}{c}"] for c in range(1, n + 1)]) for r in range(1, n + 1)]
-        return f(env, rows), f(env, [env[f"x{k}{k}"] for k in range(1, n + 1)])
-
-    def a3(env):  # the left side first: fewer full-length arrays live at once
-        lhs = f(env, [q(env[f"x{r}0"], [env[f"x{r}{c}"] for c in range(1, n + 1)])
-                      for r in range(1, n + 1)])
-        cols = [f(env, [env[f"x{r}{c}"] for r in range(1, n + 1)]) for c in range(0, n + 1)]
-        return lhs, q(cols[0], cols[1:])
-
-    return [
-        Axiom(f"{prefix}1", lead + ("x",), a1),
-        Axiom(f"{prefix}2", lead + names2, a2),
-        Axiom(f"{prefix}3", lead + names3, a3),
-    ]
-
-
-def _factor_axioms_nary(alg, e_idx: int) -> list:
-    """D1-D3 for f = q(e, -, ..., -) on a q-signature algebra, plus D3-const."""
-    n = alg.n
-
-    def d3_const(env):
-        ref = env["x"]
-        outs = []
-        for k in range(1, n + 1):
-            ck = np.full_like(ref, alg.constant_index(k))
-            outs.append(alg.q_vec(np.full_like(ref, e_idx), [ck] * n) == ck)
-        return np.all(np.stack(outs), axis=0), np.ones_like(ref, dtype=bool)
-
-    factor = _decomposition_axioms(alg, "D", (), lambda env, ref: np.full_like(ref, e_idx))
-    return factor + [Axiom("D3-const", ("x",), d3_const)]
+def _factor_axioms(alg, e: int) -> list:
+    """D1-D3 of f = q(e, -, ..., -), which are B1-B3 with y pinned to e, and D3-const."""
+    d1, d2, d3 = (_pin(ax, "y", e) for ax in _axioms(q_ops(alg), _decomposition_rows(alg.n, "D")))
+    # D3-const: f(e_k, ..., e_k) = e_k for each k, that is D1 at the constants
+    const = replace(d1, name="D3-const")
+    return [d1, d2, d3] + [_pin(const, "x", alg.constant_index(k)) for k in range(1, alg.n + 1)]
 
 
 def is_element_kind(alg, e, kind, i: int = None, budget=DEFAULT_BUDGET,
@@ -616,45 +519,22 @@ def is_element_kind(alg, e, kind, i: int = None, budget=DEFAULT_BUDGET,
     a True from a sampled run is only probabilistic.
     """
     kind = kind.lower()
-    e_idx = e if isinstance(e, int) else alg.index(tuple(e))
-    size = alg.size
-    labels = _label_tuple(alg)
-    if kind == "factor":
-        rep = run_suite("FACTOR", _factor_axioms_nary(alg, e_idx), size, labels,
-                        budget, samples, seed)
-        return rep.ok
+    e = element_index(alg, e)
     if kind == "semicentral":
         if i is None:
             raise ValueError("semicentral needs the reduct index i")
         rc = reduct(alg, "rchurch", i=i)
-        q3, zero = rc.q3, rc.zero
-        if int(q3[e_idx, e_idx, zero]) != e_idx:
-            return False
-        # universally quantified clauses with w pinned to e; RCA and the
-        # pointwise q3(e,e,0) = e clause are not part of the w-family
-        fixed = []
-        for ax in srca_axioms(q3, zero):
-            if ax.name in ("RCA", "semicentral"):
-                continue
-
-            def chk(env, ax=ax):
-                env = dict(env)
-                some = next(iter(env.values())) if env else np.zeros(1, dtype=np.int64)
-                env["w"] = np.full_like(some, e_idx)
-                return ax.check(env)
-
-            fixed.append(Axiom(ax.name, tuple(v for v in ax.varnames if v != "w"), chk))
-        rep = run_suite("SEMICENTRAL", fixed, size, labels, budget, samples, seed)
-        return rep.ok
-    if kind == "central":
-        q = alg.q_vec
-        ref = np.array([e_idx], dtype=np.int64)
-        consts = [np.full_like(ref, alg.constant_index(k)) for k in range(1, alg.n + 1)]
-        if int(q(ref, consts)[0]) != e_idx:
-            return False
-        return is_element_kind(alg, e_idx, "factor", budget=budget,
-                               samples=samples, seed=seed)
-    raise ValueError(f"unknown element kind {kind!r}")
+        # q3(e, e, 0) = e at e itself, then the clauses quantified over w, with w pinned to e
+        _rca, semi, *family = srca_axioms(rc.q3, rc.zero)
+        axs = [_pin(semi, "x", e)] + [_pin(ax, "w", e) for ax in family]
+    elif kind == "factor":
+        axs = _factor_axioms(alg, e)
+    elif kind == "central":  # q(e, e1, ..., en) = e, which is B4 at e, and e is a factor
+        axs = [_pin(nba_axioms(alg)[-1], "y", e)] + _factor_axioms(alg, e)
+    else:
+        raise ValueError(f"unknown element kind {kind!r}")
+    labels = _label_tuple(alg)
+    return all(_run_axiom(ax, alg.size, labels, budget, samples, seed).ok for ax in axs)
 
 
 # -- Boolean center -----------------------------------------------------------
@@ -728,16 +608,11 @@ def boolean_center(alg, cp: CenterParams) -> BooleanCenter:
 
 def factor_congruences_of(alg, e, i: int):
     """The pair (phi, phi-bar) induced by e in the right Church i-reduct."""
-    from .ideals import Congruence, blocks_to_congruence
+    from .ideals import blocks_to_congruence
 
-    e_idx = e if isinstance(e, int) else alg.index(tuple(e))
-    rc = reduct(alg, "rchurch", i=i)
-    q3 = rc.q3
-    size = rc.size
-    a, b = np.indices((size, size))
-    phi = q3[np.full_like(a, e_idx), a, b] == a
-    phibar = q3[np.full_like(a, e_idx), a, b] == b
+    fe = reduct(alg, "rchurch", i=i).q3[element_index(alg, e)]  # fe[a, b] = t(e, a, b)
+    carrier = np.arange(alg.size)
     return (
-        blocks_to_congruence(alg, phi),
-        blocks_to_congruence(alg, phibar),
+        blocks_to_congruence(alg, fe == carrier[:, None]),
+        blocks_to_congruence(alg, fe == carrier),
     )

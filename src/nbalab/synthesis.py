@@ -8,13 +8,14 @@ innermost-first with a leftmost tie-break and records a trace.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import generator
-from .terms import Const, Q, Term, Var, eval_term, free_vars
+from .terms import Const, Q, Term, Var, eval_vec, free_vars
 
 
 @dataclass(frozen=True)
@@ -128,24 +129,19 @@ def _check_q_signature(t: Term) -> None:
     raise ValueError("simplify handles q-signature terms only")
 
 
+def _values(t: Term, n: int, k: int) -> np.ndarray:
+    """t's values in 1..n over the n^k grid of x1..xk, first argument slowest."""
+    idx = np.arange(n**k)
+    env = {f"x{s}": idx // n ** (k - s) % n for s in range(1, k + 1)}
+    return np.broadcast_to(eval_vec(t, env, generator(n)), idx.shape) + 1
+
+
 def verify_term(t: Term, table: TruthTable) -> bool:
     """Exhaustive agreement of the term with the table."""
-    alg = generator(table.n)
-    names = [f"x{s}" for s in range(1, table.k + 1)]
-    if not set(free_vars(t)) <= set(names):
+    if not set(free_vars(t)) <= {f"x{s}" for s in range(1, table.k + 1)}:
         return False
-    for args in itertools.product(range(1, table.n + 1), repeat=table.k):
-        env = {name: (v,) for name, v in zip(names, args)}
-        if eval_term(t, env, alg) != (table.lookup(args),):
-            return False
-    return True
+    return bool(np.array_equal(_values(t, table.n, table.k), table.entries))
 
 
 def table_of_term(t: Term, n: int, k: int) -> TruthTable:
-    alg = generator(n)
-    names = [f"x{s}" for s in range(1, k + 1)]
-    entries = []
-    for args in itertools.product(range(1, n + 1), repeat=k):
-        env = {name: (v,) for name, v in zip(names, args)}
-        entries.append(eval_term(t, env, alg)[0])
-    return TruthTable(n, k, tuple(entries))
+    return TruthTable(n, k, tuple(_values(t, n, k).tolist()))

@@ -9,6 +9,14 @@ Grammar:
 "and"/"or"/"sub"/"bw"/"bv" are the derived binary operations (meet, join,
 subtraction, double-bar meet, double-bar join); "t" is the ternary
 selector.  Subscripts are subsets of 1..n.
+
+Every evaluation, here and in the axiom audits of nbalab.skew, runs on
+operation terms: a name, or a tuple (op, *args).  evaluate(t, env, ops)
+looks a name up in env (the variables) and then in ops (constants, as
+scalars that broadcast), and applies ops[op] by indexing a table or by
+calling a function.  eval_term and eval_vec elaborate a parsed term into
+this form over q and e1..en.  first_witness streams the assignments of a
+check in chunks and stops at the first row where the two sides differ.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
+
+from .core import generator
 
 DEFAULT_BUDGET = 10**7
 DEFAULT_SAMPLES = 10**5
@@ -256,35 +266,48 @@ def elaborate(t: Term, n: int) -> Term:
 
 def eval_term(t: Term, env: dict, alg) -> tuple:
     """Evaluate a term in a power algebra; env maps names to Elements."""
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise TermError(f"unbound variable {t.name!r}")
-        return tuple(env[t.name])
-    if isinstance(t, Const):
-        return alg.constant(t.k)
-    if isinstance(t, Q):
-        if len(t.branches) != alg.n:
-            raise TermError(f"q node has {len(t.branches)} branches, expected {alg.n}")
-        return alg.q(
-            eval_term(t.scrutinee, env, alg),
-            [eval_term(b, env, alg) for b in t.branches],
-        )
-    return eval_term(elaborate(t, alg.n), env, alg)
+    ops = {f"e{k}": alg.constant(k) for k in range(1, alg.n + 1)}
+    ops["q"] = lambda s, *ys: alg.q(s, ys)
+    env = {name: tuple(v) for name, v in env.items()}
+    return evaluate(op_term(elaborate(t, alg.n), alg.n), env, ops)
 
 
-def eval_vec(t: Term, env: dict, alg) -> np.ndarray:
-    """Evaluate over arrays of carrier indices (env: name -> index array)."""
+def evaluate(t, env: dict, ops: dict):
+    """Evaluate an operation term: a name (env, then ops) or a tuple (op, *args)."""
+    if isinstance(t, str):
+        if t in env:
+            return env[t]
+        if t in ops:
+            return ops[t]
+        raise TermError(f"unbound variable {t!r}")
+    op, args = ops[t[0]], [evaluate(a, env, ops) for a in t[1:]]
+    return op[tuple(args)] if isinstance(op, np.ndarray) else op(*args)
+
+
+def q_ops(alg) -> dict:
+    """The q signature of an algebra as operations: q and the constants e1..en."""
+    ops = {f"e{k}": alg.constant_index(k) for k in range(1, alg.n + 1)}
+    ops["q"] = lambda s, *ys: alg.q_vec(s, ys)
+    return ops
+
+
+def op_term(t: Term, n: int):
+    """An elaborated q-signature term as an operation term over q_ops."""
     if isinstance(t, Var):
-        if t.name not in env:
-            raise TermError(f"unbound variable {t.name!r}")
-        return env[t.name]
+        return t.name
     if isinstance(t, Const):
-        k = alg.constant_index(t.k)
-        some = next(iter(env.values()), None)
-        return np.full_like(some, k) if some is not None else np.array([k])
-    t = elaborate(t, alg.n) if not isinstance(t, Q) else t
-    s = eval_vec(t.scrutinee, env, alg)
-    return alg.q_vec(s, [eval_vec(b, env, alg) for b in t.branches])
+        return f"e{t.k}"
+    if len(t.branches) != n:
+        raise TermError(f"q node has {len(t.branches)} branches, expected {n}")
+    return ("q", op_term(t.scrutinee, n), *(op_term(b, n) for b in t.branches))
+
+
+def eval_vec(t: Term, env: dict, alg):
+    """Evaluate over arrays of carrier indices (env: name -> index array).
+
+    Constants evaluate to scalars, which broadcast against the arrays.
+    """
+    return evaluate(op_term(elaborate(t, alg.n), alg.n), env, q_ops(alg))
 
 
 # -- identity checking against the n-element generator -------------------
@@ -306,11 +329,6 @@ class BudgetExceeded(RuntimeError):
     """Raised when an exhaustive check would exceed the budget."""
 
 
-def _sampled_arrays(nvars: int, size: int, samples: int, seed: int):
-    rng = np.random.default_rng(seed)
-    return [rng.integers(0, size, size=samples, dtype=np.int64) for _ in range(nvars)]
-
-
 def assignment_chunks(nvars: int, size: int, mode: str, budget: int, samples: int,
                       seed: int) -> Iterator[list]:
     """Assignments of nvars variables to range(size), in chunks of at most CHUNK rows.
@@ -322,7 +340,8 @@ def assignment_chunks(nvars: int, size: int, mode: str, budget: int, samples: in
     there is one assignment, the empty one: one chunk of no arrays.
     """
     if mode == "sampled":
-        arrays = _sampled_arrays(nvars, size, samples, seed)
+        rng = np.random.default_rng(seed)
+        arrays = [rng.integers(0, size, size=samples, dtype=np.int64) for _ in range(nvars)]
         for lo in range(0, samples, CHUNK) if arrays else [0]:
             yield [a[lo:lo + CHUNK] for a in arrays]
         return
@@ -345,6 +364,24 @@ def assignment_chunks(nvars: int, size: int, mode: str, budget: int, samples: in
         yield tile + [np.full(rows, v, dtype=np.int64) for v in reversed(slow)]
 
 
+def first_witness(nvars: int, size: int, mode: str, budget: int, samples: int,
+                  seed: int, differ) -> tuple:
+    """Stream assignment_chunks until differ(chunk) flags a row.
+
+    differ maps a chunk to a boolean array that broadcasts to its rows.
+    Returns (the first flagged assignment as a list of indices, or None;
+    the number of assignments evaluated).
+    """
+    count = 0
+    for chunk in assignment_chunks(nvars, size, mode, budget, samples, seed):
+        rows = len(chunk[0]) if chunk else 1
+        count += rows
+        bad = np.flatnonzero(np.broadcast_to(differ(chunk), rows))
+        if bad.size:
+            return [int(a[bad[0]]) for a in chunk], count
+    return None, count
+
+
 def check_identity(
     lhs: Term,
     rhs: Term,
@@ -359,19 +396,16 @@ def check_identity(
     Exhaustive verdicts are sound and complete for the variety; sampled
     Valid verdicts are only probabilistic, sampled counterexamples exact.
     """
-    from .core import generator
-
     alg = generator(n)
-    names = []
-    for v in free_vars(lhs) + free_vars(rhs):
-        if v not in names:
-            names.append(v)
+    names = list(dict.fromkeys(free_vars(lhs) + free_vars(rhs)))
     drawn = {"samples": samples, "seed": seed} if mode == "sampled" else {}
-    for chunk in assignment_chunks(len(names), n, mode, budget, samples, seed):
+
+    def differ(chunk):
         env = dict(zip(names, chunk))
-        bad = np.flatnonzero(eval_vec(lhs, env, alg) != eval_vec(rhs, env, alg))
-        if bad.size:
-            i = int(bad[0])
-            cex = {name: f"e{int(arr[i]) + 1}" for name, arr in zip(names, chunk)}
-            return Verdict(False, mode, counterexample=cex, **drawn)
-    return Verdict(True, mode, **drawn)
+        return eval_vec(lhs, env, alg) != eval_vec(rhs, env, alg)
+
+    wit, _ = first_witness(len(names), n, mode, budget, samples, seed, differ)
+    if wit is None:
+        return Verdict(True, mode, **drawn)
+    cex = {name: f"e{v + 1}" for name, v in zip(names, wit)}
+    return Verdict(False, mode, counterexample=cex, **drawn)

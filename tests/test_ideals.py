@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import nbalab
@@ -278,3 +279,78 @@ def test_all_ultramultideals_builds_the_center_once(monkeypatch):
     monkeypatch.setattr(ideals, "boolean_center", counting)
     assert len(all_ultramultideals(core.power_algebra(2, 4))) == 4
     assert len(builds) == 1
+
+
+def _hom_by_loop(alg, h, table):
+    n = alg.n
+    return (set(h) == set(range(1, n + 1))
+            and all(h[alg.constant_index(k)] == k for k in range(1, n + 1))
+            and all(h[r] == h[ys[h[x] - 1]] for x, ys, r in table))
+
+
+def test_is_hom_onto_generator_matches_a_loop_over_every_map():
+    A31 = core.power_algebra(3, 1)
+    for alg in (A22, core.table_of_power(A22), A31, core.table_of_power(A31)):
+        table = _q_on_all_tuples(alg)
+        homs = 0
+        for h in itertools.product(range(1, alg.n + 1), repeat=alg.size):
+            by_loop = _hom_by_loop(alg, h, table)
+            assert is_hom_onto_generator(alg, h) == by_loop, h
+            homs += by_loop
+        assert homs == {4: 2, 3: 1}[alg.size]  # one hom per point of the power
+
+
+def test_is_hom_onto_generator_matches_a_loop_on_3_2_and_a_subpower():
+    sub = core.subalgebra_closure(A32, [(1, 2)])
+    rng = np.random.default_rng(5)
+    for alg in (A32, sub):
+        table = _q_on_all_tuples(alg)
+        maps = [tuple(int(v) for v in rng.integers(1, 4, size=alg.size)) for _ in range(40)]
+        homs = all_homs_onto_generator(alg)
+        maps += homs + [h[:1] + (h[0] % 3 + 1,) + h[2:] for h in homs]  # one value changed
+        for h in maps:
+            assert is_hom_onto_generator(alg, h) == _hom_by_loop(alg, h, table), h
+        assert homs and all(is_hom_onto_generator(alg, h) for h in homs)
+
+
+def test_preserves_q_matches_a_loop_over_every_bijection_of_3_1():
+    A31 = core.power_algebra(3, 1)
+    target = core.power_algebra(3, 1)
+    for alg in (A31, core.table_of_power(A31)):
+        table = _q_on_all_tuples(alg)
+        kept = 0
+        for perm in itertools.permutations(target.elements()):
+            emb = StoneEmbedding(alg, target, perm)
+            by_loop = all(perm[r] == target.q(perm[x], [perm[y] for y in ys])
+                          for x, ys, r in table)
+            assert emb.preserves_q() == by_loop
+            kept += by_loop
+        assert kept == 1  # a permutation of the constants preserves q only if it fixes them
+
+
+# -- checked element conversion at every site that takes elements -----------------
+
+
+def test_validate_multideal_checks_its_elements():
+    e = [int(idx(A23, A23.constant(k))) for k in (1, 2)]
+    assert validate_multideal(A23, [[np.int64(e[0])], [np.int64(e[1])]]).status == "proper"
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="out of 0..7"):
+            validate_multideal(A23, [[e[0], bad], [e[1]]])
+
+
+def test_multideal_from_sets_checks_its_elements():
+    e = [int(idx(A23, A23.constant(k))) for k in (1, 2)]
+    md = ideals.multideal_from_sets(A23, [[np.int64(e[0])], [(2, 2, 2)]])
+    assert md.components == (frozenset({e[0]}), frozenset({e[1]}))
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="out of 0..7"):
+            ideals.multideal_from_sets(A23, [[e[0]], [e[1], bad]])
+
+
+def test_ideal_closure_checks_its_elements():
+    seed = idx(A23, (1, 2, 2))
+    assert ideal_closure(A23, [[np.int64(seed)], []]) == ideal_closure(A23, [[(1, 2, 2)], []])
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="out of 0..7"):
+            ideal_closure(A23, [[bad], []])

@@ -217,3 +217,23 @@ def test_boolean_center_not_closed_raises_value_error():
     bad = core.table_of_power(core.power_algebra(2, 3)).mutate((5, 0, 7), 2)
     with pytest.raises(ValueError, match=r"not closed under join: join\(#1, #4\) = #5"):
         boolean_center(bad, CenterParams(1, 2))
+
+
+def test_is_element_kind_checks_its_element():
+    A23 = core.power_algebra(2, 3)
+    e = A23.index((1, 2, 1))
+    assert is_element_kind(A23, np.int64(e), "factor") == is_element_kind(A23, e, "factor")
+    assert is_element_kind(A23, np.int64(e), "central")
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="out of 0..7"):
+            is_element_kind(A23, bad, "factor")
+
+
+def test_factor_congruences_of_checks_its_element():
+    A23 = core.power_algebra(2, 3)
+    e = A23.index((1, 2, 1))
+    got = factor_congruences_of(A23, np.int64(e), 1)
+    assert [c.blocks for c in got] == [c.blocks for c in factor_congruences_of(A23, (1, 2, 1), 1)]
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="out of 0..7"):
+            factor_congruences_of(A23, bad, 1)

@@ -118,3 +118,40 @@ def test_table_of_term_inverts_synth():
     table = TruthTable(3, 2, tuple(((a * 2) % 3) + 1 for a in range(9)))
     t = synth(table)
     assert table_of_term(t, 3, 2) == table
+
+
+def _table_by_loop(t, n, k):
+    """The term's table from one scalar evaluation per argument tuple."""
+    from nbalab import core
+    from nbalab.terms import eval_term
+
+    alg = core.generator(n)
+    names = [f"x{s}" for s in range(1, k + 1)]
+    return tuple(eval_term(t, {name: (v,) for name, v in zip(names, args)}, alg)[0]
+                 for args in itertools.product(range(1, n + 1), repeat=k))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_vectorised_tables_match_the_scalar_loop(n, k):
+    import random
+
+    rng = random.Random(n * 10 + k)
+    xs = [f"x{s}" for s in range(1, k + 1)]
+    terms = [Const(c, "e") for c in range(1, n + 1)] + [Var(x) for x in xs]
+    for _ in range(3):
+        table = TruthTable(n, k, tuple(rng.randint(1, n) for _ in range(n**k)))
+        terms += [synth(table), simplify(synth(table), n)[0]]
+    if k:
+        terms.append(parse_term(f"t[1](x1,{xs[-1]},e{n})", n))
+        terms.append(parse_term(f"and[2](q(x1,{','.join(['e1'] * n)}),{xs[-1]})", n))
+    for t in terms:
+        entries = _table_by_loop(t, n, k)
+        assert table_of_term(t, n, k) == TruthTable(n, k, entries), print_term(t)
+        assert verify_term(t, TruthTable(n, k, entries))
+        other = tuple(v % n + 1 if s == n**k // 2 else v for s, v in enumerate(entries))
+        assert not verify_term(t, TruthTable(n, k, other))
+    # a variable beyond x1..xk fails verification; table_of_term reports it unbound
+    assert not verify_term(Var(f"x{k + 1}"), TruthTable(n, k, (1,) * n**k))
+    with pytest.raises(Exception, match="unbound"):
+        table_of_term(Var(f"x{k + 1}"), n, k)

@@ -320,27 +320,34 @@ def partition_to_element(parts: NSubset, m: int) -> Element:
 # -- subalgebra closure ------------------------------------------------
 
 
+def _closure(alg, gens) -> np.ndarray:
+    """Mask of the least set of carrier indices holding the constants and gens, closed under q.
+
+    Each round gathers q over the open grids of the tuples that hold an element
+    added in the last round: position p new, the positions before it from the
+    set closed so far, the positions after it from the whole set.
+    """
+    inside = np.zeros(alg.size, dtype=bool)
+    inside[[alg.constant_index(k) for k in range(1, alg.n + 1)]] = True
+    inside[np.asarray(gens, dtype=np.int64)] = True
+    closed = np.zeros(0, dtype=np.int64)
+    while not inside.all():
+        every = np.flatnonzero(inside)
+        new = np.setdiff1d(every, closed, assume_unique=True)
+        if not new.size:
+            break
+        for p in range(alg.n + 1):
+            g = np.ix_(*[closed] * p, new, *[every] * (alg.n - p))
+            inside[alg.q_vec(g[0], g[1:])] = True
+        closed = every
+    return inside
+
+
 def subalgebra_closure(alg: PowerAlgebra, gens: Iterable[Element]) -> PowerAlgebra:
-    """Smallest carrier containing constants and gens, closed under q."""
-    base = alg.elements()
-    full = len(base)
-    current = set(alg.constants)
-    for g in gens:
-        alg._check_element(tuple(g))
-        current.add(tuple(g))
-    frontier = set(current)
-    while frontier and len(current) < full:
-        new = set()
-        pool = sorted(current)
-        for combo in itertools.product(pool, repeat=alg.n + 1):
-            if not any(c in frontier for c in combo):
-                continue
-            out = alg.q(combo[0], combo[1:])
-            if out not in current and out not in new:
-                new.add(out)
-        current |= new
-        frontier = new
-    return PowerAlgebra(alg.n, alg.points, tuple(sorted(current)))
+    """Smallest carrier containing constants and gens, closed under q; gens must lie in alg."""
+    els = alg.elements()
+    inside = _closure(alg, [alg.index(tuple(g)) for g in gens])
+    return PowerAlgebra(alg.n, alg.points, tuple(els[i] for i in np.flatnonzero(inside)))
 
 
 # -- serialisation -----------------------------------------------------

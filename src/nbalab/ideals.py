@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionError, PowerAlgebra, TableAlgebra, element_index, generator
+from .core import DimensionError, PowerAlgebra, _closure, element_index, generator
 from .skew import boolean_center, reduct, _label_tuple
 from .transforms import CenterParams
 
@@ -120,13 +120,6 @@ def _merge(lab: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             lab = lab[lab]
         ra, rb = lab[a], lab[b]
     return lab
-
-
-def _grid_q(alg, arrays):
-    """q over a meshgrid of index arrays; returns flat result array."""
-    grids = np.meshgrid(*arrays, indexing="ij")
-    flat = [g.ravel() for g in grids]
-    return alg.q_vec(flat[0], flat[1:]), flat
 
 
 def congruence_generated(alg, pairs: Iterable[tuple]) -> Congruence:
@@ -255,39 +248,36 @@ def validate_multideal(alg, candidate) -> ValidationResult:
                 return ValidationResult("invalid", "disjoint",
                                         {"element": labels[min(inter)],
                                          "components": [r + 1, k + 1]})
-    allv = np.arange(size, dtype=np.int64)
-    member = [np.zeros(size, dtype=bool) for _ in range(n)]
+    member = np.zeros((n, size), dtype=bool)
     for k in range(n):
-        member[k][sorted(comps[k])] = True
-    # m2: a in I_r, branch r = b in I_k, other branches arbitrary -> I_k
+        member[k, sorted(comps[k])] = True
+    for clause, where, g in _rule_grids(alg, member):
+        res = alg.q_vec(g[0], g[1:])
+        bad = np.flatnonzero(~member[where["k"] - 1][res])
+        if bad.size:  # the first in C order: the first argument varies slowest
+            at = np.unravel_index(bad[0], res.shape)
+            a, *ys = (int(grid.ravel()[t]) for grid, t in zip(g, at))
+            wit = {"a": labels[a], "ys": [labels[y] for y in ys], "result": labels[int(res[at])]}
+            return ValidationResult("invalid", clause, {**wit, **where})
+    return ValidationResult("proper")
+
+
+def _rule_grids(alg, member: np.ndarray):
+    """The premises of m2 and m3 as open grids of q's arguments, in checking order.
+
+    member[k - 1] is I_k as a mask.  Yields (clause, where, grid): q over the grid must
+    land in I_k, k = where["k"].  m2, for each r and k: a in I_r, branch r in I_k, the
+    other branches arbitrary.  m3, for each k: a arbitrary, every branch in I_k.
+    """
+    n = alg.n
+    allv = np.arange(alg.size)
+    comps = [np.flatnonzero(m) for m in member]
     for r in range(1, n + 1):
         for k in range(1, n + 1):
-            ar = np.array(sorted(comps[r - 1]), dtype=np.int64)
-            bk = np.array(sorted(comps[k - 1]), dtype=np.int64)
-            if ar.size == 0 or bk.size == 0:
-                continue
-            arrays = [ar] + [bk if s == r else allv for s in range(1, n + 1)]
-            res, flat = _grid_q(alg, arrays)
-            bad = np.nonzero(~member[k - 1][res])[0]
-            if bad.size:
-                t = int(bad[0])
-                wit = {"a": labels[int(flat[0][t])],
-                       "ys": [labels[int(flat[s][t])] for s in range(1, n + 1)],
-                       "result": labels[int(res[t])], "r": r, "k": k}
-                return ValidationResult("invalid", "m2", wit)
-    # m3: scrutinee arbitrary, all branches in I_k -> I_k
+            branches = [comps[k - 1] if s == r else allv for s in range(1, n + 1)]
+            yield "m2", {"r": r, "k": k}, np.ix_(comps[r - 1], *branches)
     for k in range(1, n + 1):
-        bk = np.array(sorted(comps[k - 1]), dtype=np.int64)
-        arrays = [allv] + [bk] * n
-        res, flat = _grid_q(alg, arrays)
-        bad = np.nonzero(~member[k - 1][res])[0]
-        if bad.size:
-            t = int(bad[0])
-            wit = {"a": labels[int(flat[0][t])],
-                   "ys": [labels[int(flat[s][t])] for s in range(1, n + 1)],
-                   "result": labels[int(res[t])], "k": k}
-            return ValidationResult("invalid", "m3", wit)
-    return ValidationResult("proper")
+        yield "m3", {"k": k}, np.ix_(allv, *[comps[k - 1]] * n)
 
 
 def multideal_from_sets(alg, candidate) -> Multideal:
@@ -301,46 +291,29 @@ def multideal_from_sets(alg, candidate) -> Multideal:
 
 
 def ideal_closure(alg, seed) -> Multideal:
-    """Least multideal containing the seed, or the degenerate one."""
+    """Least multideal containing the seed, or the degenerate one.
+
+    Each round adds every result of m2 and m3 over the current sets, until a round
+    adds nothing; the sets only grow, so the closure is degenerate iff a round sees
+    a constant in a foreign component or two components meet.
+    """
     n = alg.n
-    size = alg.size
-    allv = np.arange(size, dtype=np.int64)
-    comps = [set() for _ in range(n)]
-    for k in range(n):
-        comps[k].add(alg.constant_index(k + 1))
+    if len(seed) > n:
+        raise ValueError(f"a seed has at most {n} parts, got {len(seed)}")
+    member = np.zeros((n, alg.size), dtype=bool)
+    consts = [alg.constant_index(k) for k in range(1, n + 1)]
+    member[range(n), consts] = True
     for k, part in enumerate(seed):
-        for x in part:
-            comps[k].add(element_index(alg, x))
-    changed = True
-    while changed:
-        changed = False
-        for r in range(1, n + 1):
-            for k in range(1, n + 1):
-                if r != k and alg.constant_index(k) in comps[r - 1]:
-                    return degenerate_multideal(alg)
-        for r in range(n):
-            for k in range(r + 1, n):
-                if comps[r] & comps[k]:
-                    return degenerate_multideal(alg)
-        for r in range(1, n + 1):
-            for k in range(1, n + 1):
-                ar = np.array(sorted(comps[r - 1]), dtype=np.int64)
-                bk = np.array(sorted(comps[k - 1]), dtype=np.int64)
-                arrays = [ar] + [bk if s == r else allv for s in range(1, n + 1)]
-                res, _ = _grid_q(alg, arrays)
-                new = set(np.unique(res).tolist()) - comps[k - 1]
-                if new:
-                    comps[k - 1] |= new
-                    changed = True
-        for k in range(n):
-            bk = np.array(sorted(comps[k]), dtype=np.int64)
-            arrays = [allv] + [bk] * n
-            res, _ = _grid_q(alg, arrays)
-            new = set(np.unique(res).tolist()) - comps[k]
-            if new:
-                comps[k] |= new
-                changed = True
-    return Multideal(alg, tuple(frozenset(c) for c in comps))
+        member[k, [element_index(alg, x) for x in part]] = True
+    while True:
+        if np.any(member[:, consts] & ~np.eye(n, dtype=bool)) or np.any(member.sum(0) > 1):
+            return degenerate_multideal(alg)
+        grown = member.copy()
+        for _, where, g in _rule_grids(alg, member):
+            grown[where["k"] - 1, alg.q_vec(g[0], g[1:])] = True
+        if np.array_equal(grown, member):
+            return Multideal(alg, tuple(frozenset(np.flatnonzero(m).tolist()) for m in member))
+        member = grown
 
 
 # -- the multideal <-> congruence bijection ------------------------------
@@ -365,24 +338,10 @@ def theta_of(ideal: Multideal, cp: CenterParams = CenterParams(1, 2)) -> Congrue
         raise ValueError("the degenerate multideal induces no proper congruence")
     alg = ideal.alg
     bc = boolean_center(alg, cp)
-    loc = {a: t for t, a in enumerate(bc.members)}
-    i_star = [loc[a] for a in bc.members if a in ideal.components[cp.i - 1]]
     # the quotient by the principal ideal of join(I_*): x maps to x /\ -j0
-    j0 = bc.table.zero
-    for a in i_star:
-        j0 = int(bc.table.join[j0, a])
-    negj0 = int(bc.table.neg[j0])
-    coords = _coordinate_indices(alg, cp)
-    size = alg.size
-    sig = []
-    for x in range(size):
-        sig.append(tuple(int(bc.table.meet[loc[int(coords[k][x])], negj0])
-                         for k in range(alg.n)))
-    groups = {}
-    blocks = []
-    for s in sig:
-        blocks.append(groups.setdefault(s, len(groups)))
-    return Congruence(alg, tuple(blocks))
+    coords = bc.local(np.stack(_coordinate_indices(alg, cp)))
+    sig = bc.table.meet[coords, _complement_of_join(bc, ideal, cp)]  # one column per element
+    return Congruence(alg, tuple(np.unique(sig, axis=1, return_inverse=True)[1].ravel().tolist()))
 
 
 def all_proper_multideals(alg, bound: int = CARRIER_BOUND) -> list:
@@ -400,13 +359,17 @@ def admissible_atoms(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2
     return _admissible_atoms(boolean_center(alg, cp), ideal, cp)
 
 
-def _admissible_atoms(bc, ideal: Multideal, cp: CenterParams) -> list:
-    loc = {a: t for t, a in enumerate(bc.members)}
+def _complement_of_join(bc, ideal: Multideal, cp: CenterParams) -> int:
+    """-join(I_* within the Boolean center), as a local index of the center."""
     j0 = bc.table.zero
-    for a in bc.members:
-        if a in ideal.components[cp.i - 1]:
-            j0 = int(bc.table.join[j0, loc[a]])
-    negj0 = int(bc.table.neg[j0])
+    for t in bc.loc[sorted(ideal.components[cp.i - 1])]:
+        if t >= 0:
+            j0 = int(bc.table.join[j0, t])
+    return int(bc.table.neg[j0])
+
+
+def _admissible_atoms(bc, ideal: Multideal, cp: CenterParams) -> list:
+    negj0 = _complement_of_join(bc, ideal, cp)
     return [a for a in bc.atoms() if int(bc.table.meet[a, negj0]) == a]
 
 
@@ -429,16 +392,10 @@ def _extend_to_ultra(alg, ideal: Multideal, cp: CenterParams, atom: Optional[int
         atom = admissible[0]
     elif atom not in admissible:
         raise ValueError(f"atom {atom} does not extend the multideal")
-    loc = {a: t for t, a in enumerate(bc.members)}
-    size = alg.size
-    comps = [set() for _ in range(alg.n)]
-    for x in range(size):
-        for k in range(alg.n):
-            ck = loc[int(coords[k][x])]
-            if int(bc.table.meet[atom, ck]) == atom:  # atom <= x_k
-                comps[k].add(x)
-                break
-    out = Multideal(alg, tuple(frozenset(c) for c in comps))
+    above = bc.table.meet[atom, bc.local(np.stack(coords))] == atom  # atom <= x_k
+    first = np.where(above.any(0), above.argmax(0), -1)  # x joins G_k for its least such k
+    comps = (frozenset(np.flatnonzero(first == k).tolist()) for k in range(alg.n))
+    out = Multideal(alg, tuple(comps))
     if not out.is_ultra:
         raise ValueError("the extension does not cover the carrier")
     if not all(ideal.components[k] <= out.components[k] for k in range(alg.n)):
@@ -491,6 +448,8 @@ def _preserves_q(alg, img: np.ndarray, target) -> bool:
 def is_hom_onto_generator(alg, h: Sequence[int]) -> bool:
     """h maps carrier indices to 1..n; check surjective q-homomorphism."""
     n = alg.n
+    if len(h) != alg.size:
+        raise ValueError(f"a map on {alg.size} elements needs {alg.size} images, got {len(h)}")
     hv = np.asarray(h, dtype=np.int64)
     if set(h) != set(range(1, n + 1)):
         return False
@@ -522,45 +481,35 @@ def all_homs_onto_generator(alg) -> list:
 
 
 def _generating_set(alg) -> list:
-    from .core import subalgebra_closure
-
-    if isinstance(alg, TableAlgebra):
-        raise TypeError("hom enumeration needs a power algebra")
+    """Carrier indices that generate alg with the constants: each the least one outside
+    the subuniverse that those before it generate."""
     gens = []
-    current = subalgebra_closure(alg, [])
-    els = alg.elements()
-    while current.size < alg.size:
-        for e in els:
-            if e not in current:
-                gens.append(alg.index(e))
-                current = subalgebra_closure(alg, [els[g] for g in gens])
-                break
+    inside = _closure(alg, gens)
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        inside = _closure(alg, gens)
     return gens
 
 
 def _extend_hom(alg, h: np.ndarray):
-    """Propagate h over q until total; None on conflict or incompleteness."""
-    n = alg.n
+    """Propagate h over q until total; None on conflict or incompleteness.
+
+    h(q(x, ys)) must be the image of branch h(x), so each round gathers q and those
+    images over the open grid of the known elements.
+    """
     h = h.copy()
     while True:
-        known = np.nonzero(h)[0].astype(np.int64)
-        res, flat = _grid_q(alg, [known] * (n + 1))
-        himg = np.stack([h[flat[s]] for s in range(1, n + 1)])
-        vals = np.take_along_axis(himg, (h[flat[0]] - 1)[None], axis=0)[0]
-        lo = np.full(h.shape, n + 1, dtype=np.int64)
-        hi = np.zeros_like(h)
-        np.minimum.at(lo, res, vals)
-        np.maximum.at(hi, res, vals)
-        touched = hi > 0
-        if np.any(lo[touched] != hi[touched]):
+        g = np.ix_(*[np.flatnonzero(h)] * (alg.n + 1))
+        res = alg.q_vec(g[0], g[1:])
+        vals = np.choose(h[g[0]] - 1, [h[y] for y in g[1:]])
+        img = np.zeros_like(h)
+        img[res] = vals  # one image per result; any conflict shows below
+        if np.any(img[res] != vals) or np.any((h > 0) & (img > 0) & (h != img)):
             return None
-        conflict = touched & (h > 0) & (h != hi)
-        if np.any(conflict):
-            return None
-        new = touched & (h == 0)
+        new = (img > 0) & (h == 0)
         if not np.any(new):
             break
-        h[new] = hi[new]
+        h[new] = img[new]
     return h if np.all(h > 0) else None
 
 
@@ -570,13 +519,9 @@ def is_prime(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2)) -> bo
         raise ValueError("primality is about proper multideals")
     i = cp.i
     sk = reduct(alg, "skew", i=i)
-    comp = ideal.components[i - 1]
-    size = sk.size
-    for x in range(size):
-        for y in range(size):
-            if int(sk.meet[x, y]) in comp and x not in comp and y not in comp:
-                return False
-    return True
+    inside = np.zeros(sk.size, dtype=bool)
+    inside[sorted(ideal.components[i - 1])] = True
+    return not np.any(inside[sk.meet] & ~inside[:, None] & ~inside)
 
 
 # -- Stone embedding ------------------------------------------------------

@@ -546,6 +546,7 @@ class BooleanCenter:
     cp: CenterParams
     members: tuple  # carrier indices of the base algebra, sorted
     table: BoolTable
+    loc: np.ndarray = field(compare=False, repr=False)  # local index per base index, -1 off it
 
     @property
     def size(self) -> int:
@@ -554,22 +555,21 @@ class BooleanCenter:
     def contains(self, idx: int) -> bool:
         return idx in set(self.members)
 
-    def local(self, base_idx: int) -> int:
-        return self.members.index(base_idx)
+    def local(self, base_idx):
+        """Local indices of base carrier indices (an int or an array); ValueError off the center."""
+        t = self.loc[base_idx]
+        if np.any(t < 0):
+            off = np.asarray(base_idx)[t < 0].min()
+            raise ValueError(f"carrier index {off} lies outside the Boolean center")
+        return t
 
     def atoms(self) -> list:
         """Local indices of the atoms (covers of the bottom)."""
-        m = self.table.meet
         z = self.table.zero
-        out = []
-        for a in range(self.size):
-            if a == z:
-                continue
-            below = [b for b in range(self.size)
-                     if b not in (z, a) and m[b, a] == b]
-            if not below:
-                out.append(a)
-        return out
+        below = self.table.meet == np.arange(self.size)[:, None]  # below[b, a]: b <= a
+        below[z] = False
+        np.fill_diagonal(below, False)
+        return np.flatnonzero(~below.any(0) & (np.arange(self.size) != z)).tolist()
 
     def leq(self, a: int, b: int) -> bool:
         return int(self.table.meet[a, b]) == a
@@ -600,7 +600,7 @@ def boolean_center(alg, cp: CenterParams) -> BooleanCenter:
     labels = tuple(sk.labels[a] for a in members)
     bt = BoolTable(len(members), loc[ops["meet"]], loc[ops["join"]], loc[ops["negation"]],
                    int(loc[ei]), int(loc[ej]), labels)
-    return BooleanCenter(alg, cp, tuple(int(a) for a in members), bt)
+    return BooleanCenter(alg, cp, tuple(int(a) for a in members), bt, loc)
 
 
 # -- factor congruences of an element ------------------------------------------

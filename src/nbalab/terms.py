@@ -396,13 +396,14 @@ def check_identity(
     Exhaustive verdicts are sound and complete for the variety; sampled
     Valid verdicts are only probabilistic, sampled counterexamples exact.
     """
-    alg = generator(n)
+    ops = q_ops(generator(n))
+    left, right = (op_term(elaborate(t, n), n) for t in (lhs, rhs))
     names = list(dict.fromkeys(free_vars(lhs) + free_vars(rhs)))
     drawn = {"samples": samples, "seed": seed} if mode == "sampled" else {}
 
     def differ(chunk):
         env = dict(zip(names, chunk))
-        return eval_vec(lhs, env, alg) != eval_vec(rhs, env, alg)
+        return evaluate(left, env, ops) != evaluate(right, env, ops)
 
     wit, _ = first_witness(len(names), n, mode, budget, samples, seed, differ)
     if wit is None:

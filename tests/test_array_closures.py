@@ -1,0 +1,455 @@
+"""The array closures against the loops they replaced.
+
+The oracles below are the earlier engines, kept as they were: the
+subalgebra closure is a Python loop over scalar q calls, and multideal
+validation, multideal closure and hom extension evaluate q over
+flattened meshgrids.  The Boolean-center consumers (atoms, theta_of,
+extension to an ultramultideal, primality) are kept as their per-element
+loops.  The code under test gathers q over open grids and grows index
+sets; both must give the same carriers, verdicts, witnesses and maps.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from nbalab import core, ideals
+from nbalab.core import ShapeError, element_index
+from nbalab.ideals import Multideal, ValidationResult, degenerate_multideal
+from nbalab.skew import _label_tuple, boolean_center, reduct
+from nbalab.transforms import CenterParams
+
+
+# -- the oracles ---------------------------------------------------------------
+
+
+def oracle_subalgebra_closure(alg, gens):
+    base = alg.elements()
+    full = len(base)
+    current = set(alg.constants)
+    for g in gens:
+        alg._check_element(tuple(g))
+        current.add(tuple(g))
+    frontier = set(current)
+    while frontier and len(current) < full:
+        new = set()
+        pool = sorted(current)
+        for combo in itertools.product(pool, repeat=alg.n + 1):
+            if not any(c in frontier for c in combo):
+                continue
+            out = alg.q(combo[0], combo[1:])
+            if out not in current and out not in new:
+                new.add(out)
+        current |= new
+        frontier = new
+    return core.PowerAlgebra(alg.n, alg.points, tuple(sorted(current)))
+
+
+def _grid_q(alg, arrays):
+    """q over a meshgrid of index arrays; returns flat result array."""
+    grids = np.meshgrid(*arrays, indexing="ij")
+    flat = [g.ravel() for g in grids]
+    return alg.q_vec(flat[0], flat[1:]), flat
+
+
+def oracle_validate_multideal(alg, candidate):
+    n = alg.n
+    size = alg.size
+    labels = _label_tuple(alg)
+    comps = [frozenset(element_index(alg, x) for x in c) for c in candidate]
+    if len(comps) != n:
+        return ValidationResult("invalid", "shape", {"expected": n, "got": len(comps)})
+    for k in range(1, n + 1):
+        if alg.constant_index(k) not in comps[k - 1]:
+            return ValidationResult("invalid", "m1", {"missing": f"e{k}"})
+    for r in range(1, n + 1):
+        for k in range(1, n + 1):
+            if r != k and alg.constant_index(k) in comps[r - 1]:
+                return ValidationResult("degenerate", witness={"constant": f"e{k}", "component": r})
+    for r in range(n):
+        for k in range(r + 1, n):
+            inter = comps[r] & comps[k]
+            if inter:
+                return ValidationResult("invalid", "disjoint",
+                                        {"element": labels[min(inter)],
+                                         "components": [r + 1, k + 1]})
+    allv = np.arange(size, dtype=np.int64)
+    member = [np.zeros(size, dtype=bool) for _ in range(n)]
+    for k in range(n):
+        member[k][sorted(comps[k])] = True
+    # m2: a in I_r, branch r = b in I_k, other branches arbitrary -> I_k
+    for r in range(1, n + 1):
+        for k in range(1, n + 1):
+            ar = np.array(sorted(comps[r - 1]), dtype=np.int64)
+            bk = np.array(sorted(comps[k - 1]), dtype=np.int64)
+            if ar.size == 0 or bk.size == 0:
+                continue
+            arrays = [ar] + [bk if s == r else allv for s in range(1, n + 1)]
+            res, flat = _grid_q(alg, arrays)
+            bad = np.nonzero(~member[k - 1][res])[0]
+            if bad.size:
+                t = int(bad[0])
+                wit = {"a": labels[int(flat[0][t])],
+                       "ys": [labels[int(flat[s][t])] for s in range(1, n + 1)],
+                       "result": labels[int(res[t])], "r": r, "k": k}
+                return ValidationResult("invalid", "m2", wit)
+    # m3: scrutinee arbitrary, all branches in I_k -> I_k
+    for k in range(1, n + 1):
+        bk = np.array(sorted(comps[k - 1]), dtype=np.int64)
+        arrays = [allv] + [bk] * n
+        res, flat = _grid_q(alg, arrays)
+        bad = np.nonzero(~member[k - 1][res])[0]
+        if bad.size:
+            t = int(bad[0])
+            wit = {"a": labels[int(flat[0][t])],
+                   "ys": [labels[int(flat[s][t])] for s in range(1, n + 1)],
+                   "result": labels[int(res[t])], "k": k}
+            return ValidationResult("invalid", "m3", wit)
+    return ValidationResult("proper")
+
+
+def oracle_ideal_closure(alg, seed):
+    n = alg.n
+    size = alg.size
+    allv = np.arange(size, dtype=np.int64)
+    comps = [set() for _ in range(n)]
+    for k in range(n):
+        comps[k].add(alg.constant_index(k + 1))
+    for k, part in enumerate(seed):
+        for x in part:
+            comps[k].add(element_index(alg, x))
+    changed = True
+    while changed:
+        changed = False
+        for r in range(1, n + 1):
+            for k in range(1, n + 1):
+                if r != k and alg.constant_index(k) in comps[r - 1]:
+                    return degenerate_multideal(alg)
+        for r in range(n):
+            for k in range(r + 1, n):
+                if comps[r] & comps[k]:
+                    return degenerate_multideal(alg)
+        for r in range(1, n + 1):
+            for k in range(1, n + 1):
+                ar = np.array(sorted(comps[r - 1]), dtype=np.int64)
+                bk = np.array(sorted(comps[k - 1]), dtype=np.int64)
+                arrays = [ar] + [bk if s == r else allv for s in range(1, n + 1)]
+                res, _ = _grid_q(alg, arrays)
+                new = set(np.unique(res).tolist()) - comps[k - 1]
+                if new:
+                    comps[k - 1] |= new
+                    changed = True
+        for k in range(n):
+            bk = np.array(sorted(comps[k]), dtype=np.int64)
+            arrays = [allv] + [bk] * n
+            res, _ = _grid_q(alg, arrays)
+            new = set(np.unique(res).tolist()) - comps[k]
+            if new:
+                comps[k] |= new
+                changed = True
+    return Multideal(alg, tuple(frozenset(c) for c in comps))
+
+
+def oracle_generating_set(alg):
+    gens = []
+    current = oracle_subalgebra_closure(alg, [])
+    els = alg.elements()
+    while current.size < alg.size:
+        for e in els:
+            if e not in current:
+                gens.append(alg.index(e))
+                current = oracle_subalgebra_closure(alg, [els[g] for g in gens])
+                break
+    return gens
+
+
+def oracle_extend_hom(alg, h):
+    n = alg.n
+    h = h.copy()
+    while True:
+        known = np.nonzero(h)[0].astype(np.int64)
+        res, flat = _grid_q(alg, [known] * (n + 1))
+        himg = np.stack([h[flat[s]] for s in range(1, n + 1)])
+        vals = np.take_along_axis(himg, (h[flat[0]] - 1)[None], axis=0)[0]
+        lo = np.full(h.shape, n + 1, dtype=np.int64)
+        hi = np.zeros_like(h)
+        np.minimum.at(lo, res, vals)
+        np.maximum.at(hi, res, vals)
+        touched = hi > 0
+        if np.any(lo[touched] != hi[touched]):
+            return None
+        conflict = touched & (h > 0) & (h != hi)
+        if np.any(conflict):
+            return None
+        new = touched & (h == 0)
+        if not np.any(new):
+            break
+        h[new] = hi[new]
+    return h if np.all(h > 0) else None
+
+
+def oracle_all_homs(alg, gens):
+    n = alg.n
+    size = alg.size
+    out = []
+    for images in itertools.product(range(1, n + 1), repeat=len(gens)):
+        h = np.full(size, 0, dtype=np.int64)
+        for k in range(1, n + 1):
+            h[alg.constant_index(k)] = k
+        for g, v in zip(gens, images):
+            if h[g] and h[g] != v:
+                break
+            h[g] = v
+        else:
+            h = oracle_extend_hom(alg, h)
+            if h is not None and set(h.tolist()) == set(range(1, n + 1)):
+                out.append(tuple(int(v) for v in h))
+    return sorted(set(out))
+
+
+def oracle_atoms(bc):
+    m = bc.table.meet
+    z = bc.table.zero
+    out = []
+    for a in range(bc.size):
+        if a == z:
+            continue
+        below = [b for b in range(bc.size) if b not in (z, a) and m[b, a] == b]
+        if not below:
+            out.append(a)
+    return out
+
+
+def _oracle_negj0(bc, ideal, cp):
+    loc = {a: t for t, a in enumerate(bc.members)}
+    j0 = bc.table.zero
+    for a in bc.members:
+        if a in ideal.components[cp.i - 1]:
+            j0 = int(bc.table.join[j0, loc[a]])
+    return loc, int(bc.table.neg[j0])
+
+
+def oracle_theta_of(ideal, cp):
+    alg = ideal.alg
+    bc = boolean_center(alg, cp)
+    loc, negj0 = _oracle_negj0(bc, ideal, cp)
+    coords = ideals._coordinate_indices(alg, cp)
+    sig = [tuple(int(bc.table.meet[loc[int(coords[k][x])], negj0]) for k in range(alg.n))
+           for x in range(alg.size)]
+    groups = {}
+    return tuple(groups.setdefault(s, len(groups)) for s in sig)
+
+
+def oracle_extensions(alg, ideal, cp):
+    """The components of the extension over each admissible atom, in atom order."""
+    bc = boolean_center(alg, cp)
+    loc, negj0 = _oracle_negj0(bc, ideal, cp)
+    coords = ideals._coordinate_indices(alg, cp)
+    out = []
+    for atom in [a for a in oracle_atoms(bc) if int(bc.table.meet[a, negj0]) == a]:
+        comps = [set() for _ in range(alg.n)]
+        for x in range(alg.size):
+            for k in range(alg.n):
+                if int(bc.table.meet[atom, loc[int(coords[k][x])]]) == atom:
+                    comps[k].add(x)
+                    break
+        out.append(tuple(frozenset(c) for c in comps))
+    return out
+
+
+def oracle_is_prime(alg, ideal, cp):
+    sk = reduct(alg, "skew", i=cp.i)
+    comp = ideal.components[cp.i - 1]
+    return not any(int(sk.meet[x, y]) in comp and x not in comp and y not in comp
+                   for x in range(sk.size) for y in range(sk.size))
+
+
+# -- inputs --------------------------------------------------------------------
+
+
+A23 = core.power_algebra(2, 3)
+A32 = core.power_algebra(3, 2)
+A24 = core.power_algebra(2, 4)
+SUB24 = core.subalgebra_closure(A24, [(1, 2, 1, 2)])
+SUB33 = core.subalgebra_closure(core.power_algebra(3, 3), [(1, 2, 3), (2, 2, 1)])
+
+
+# -- subuniverses --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alg", [A23, A32], ids=["2^3", "3^2"])
+def test_every_one_and_two_generator_closure_matches(alg):
+    for r in (1, 2):
+        for gens in itertools.combinations(alg.elements(), r):
+            got = core.subalgebra_closure(alg, gens)
+            assert got.carrier == oracle_subalgebra_closure(alg, gens).carrier, gens
+
+
+@pytest.mark.parametrize("n, m, seed", [(2, 5, 1), (3, 3, 2), (2, 6, 3)])
+def test_seeded_closures_match(n, m, seed):
+    alg = core.power_algebra(n, m)
+    rng = random.Random(seed)
+    els = alg.elements()
+    for count in (1, 1, 2, 3):
+        gens = rng.sample(els, count)
+        got = core.subalgebra_closure(alg, gens)
+        assert got.carrier == oracle_subalgebra_closure(alg, gens).carrier, gens
+
+
+def test_closure_inside_a_subpower_matches():
+    for g in SUB33.elements():
+        got = core.subalgebra_closure(SUB33, [g])
+        assert got.carrier == oracle_subalgebra_closure(SUB33, [g]).carrier
+
+
+def test_closure_of_an_outside_generator_raises():
+    diag = core.subalgebra_closure(A32, [])
+    assert diag.carrier == ((1, 1), (2, 2), (3, 3))
+    with pytest.raises(ShapeError):
+        core.subalgebra_closure(diag, [(1, 2)])
+
+
+@pytest.mark.parametrize("alg", [A32, A23, A24, SUB24, core.power_algebra(2, 5),
+                                 core.power_algebra(4, 2), core.power_algebra(3, 3)],
+                         ids=["3^2", "2^3", "2^4", "sub-2^4", "2^5", "4^2", "3^3"])
+def test_generating_set_matches(alg):
+    assert ideals._generating_set(alg) == oracle_generating_set(alg)
+
+
+# -- multideals ----------------------------------------------------------------
+
+
+def _perturbations(alg, md, rng, count):
+    """Seeded one-element changes of md's components: drop, add or move one element."""
+    comps = [sorted(c) for c in md.components]
+    out = []
+    for _ in range(count):
+        cand = [list(c) for c in comps]
+        k = rng.randrange(alg.n)
+        how = rng.choice(("drop", "add", "move"))
+        if how != "add":  # a component of a proper multideal holds its constant
+            x = cand[k].pop(rng.randrange(len(cand[k])))
+            if how == "move":
+                cand[(k + 1 + rng.randrange(alg.n - 1)) % alg.n].append(x)
+        else:
+            cand[k].append(rng.randrange(alg.size))
+        out.append([sorted(set(c)) for c in cand])
+    return out
+
+
+def _validation_cases():
+    """Every proper multideal of 2^3, 3^2, 2^4 and a subpower with seeded perturbations
+    of each, and the multideals of 2^3 on seeded one-entry mutations of its table, where
+    m2 can hold while m3 fails."""
+    for alg in (A23, A32, A24, SUB24):
+        rng = random.Random(alg.size)
+        for md in ideals.all_proper_multideals(alg):
+            yield alg, [sorted(c) for c in md.components]
+            for cand in _perturbations(alg, md, rng, 12):
+                yield alg, cand
+    base, rng = core.table_of_power(A23), random.Random(1)
+    mds = ideals.all_proper_multideals(A23)
+    for _ in range(40):
+        key = tuple(rng.randrange(base.size) for _ in range(base.n + 1))
+        mutant = base.mutate(key, rng.randrange(base.size))
+        for md in mds:
+            yield mutant, [sorted(c) for c in md.components]
+
+
+def test_validate_multideal_matches():
+    clauses = set()
+    for alg, cand in _validation_cases():
+        got, want = ideals.validate_multideal(alg, cand), oracle_validate_multideal(alg, cand)
+        assert (got.status, got.clause, got.witness) == \
+            (want.status, want.clause, want.witness), cand
+        assert list(got.witness or {}) == list(want.witness or {})  # key order, for JSON
+        clauses.add(got.clause or got.status)
+    assert clauses == {"proper", "degenerate", "m1", "disjoint", "m2", "m3"}
+
+
+def _seeds(alg, rng, count):
+    for _ in range(count):
+        parts = rng.randrange(alg.n + 1)
+        yield [rng.sample(range(alg.size), rng.randrange(3)) for _ in range(parts)]
+
+
+@pytest.mark.parametrize("alg", [A23, A32, A24, SUB24, SUB33, core.power_algebra(4, 2)],
+                         ids=["2^3", "3^2", "2^4", "sub-2^4", "sub-3^3", "4^2"])
+def test_ideal_closure_matches(alg):
+    rng = random.Random(alg.size + 7)
+    kinds = set()
+    x = next(x for x in range(alg.size) if x not in {alg.constant_index(1), alg.constant_index(2)})
+    fixed = [[], [[alg.constant_index(2)]], [[x], [x]]]  # the last two are degenerate
+    for seed in fixed + list(_seeds(alg, rng, 20 if alg.size < 16 else 4)):
+        got, want = ideals.ideal_closure(alg, seed), oracle_ideal_closure(alg, seed)
+        assert (got.degenerate, got.components) == (want.degenerate, want.components), seed
+        kinds.add(got.degenerate)
+    assert kinds == {True, False}
+
+
+def test_ideal_closure_rejects_a_seed_with_too_many_parts():
+    with pytest.raises(ValueError, match="at most 3 parts, got 4"):
+        ideals.ideal_closure(A32, [[], [], [], [(1, 2)]])
+
+
+# -- homs onto the generator ---------------------------------------------------
+
+
+@pytest.mark.parametrize("alg", [A32, core.power_algebra(2, 5), core.power_algebra(4, 2),
+                                 SUB24, SUB33],
+                         ids=["3^2", "2^5", "4^2", "sub-2^4", "sub-3^3"])
+def test_all_homs_match(alg):
+    got = ideals.all_homs_onto_generator(alg)
+    assert got == oracle_all_homs(alg, oracle_generating_set(alg))
+    assert len(got) == ideals.stone_embed(alg).target.points
+
+
+def test_homs_of_a_table_are_the_powers():
+    assert ideals.all_homs_onto_generator(core.table_of_power(A23)) == \
+        oracle_all_homs(A23, oracle_generating_set(A23))
+
+
+def test_extend_hom_matches_on_partial_maps():
+    rng = random.Random(5)
+    for alg in (A32, A24, SUB33):
+        for _ in range(30):
+            h = np.zeros(alg.size, dtype=np.int64)
+            for k in range(1, alg.n + 1):
+                h[alg.constant_index(k)] = k
+            for x in rng.sample(range(alg.size), 2):
+                h[x] = rng.randrange(1, alg.n + 1)
+            got, want = ideals._extend_hom(alg, h), oracle_extend_hom(alg, h)
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_is_hom_onto_generator_checks_the_map_length():
+    with pytest.raises(ValueError, match="needs 9 images, got 3"):
+        ideals.is_hom_onto_generator(A32, (1, 2, 3))
+
+
+# -- the Boolean center's consumers --------------------------------------------
+
+
+@pytest.mark.parametrize("alg", [A23, A32, A24, SUB24], ids=["2^3", "3^2", "2^4", "sub-2^4"])
+def test_center_consumers_match(alg):
+    for cp in (CenterParams(1, 2), CenterParams(2, 1)):
+        if max(cp.i, cp.j) > alg.n:
+            continue
+        bc = boolean_center(alg, cp)
+        assert bc.atoms() == oracle_atoms(bc)
+        assert [bc.local(a) for a in bc.members] == list(range(bc.size))
+        for md in ideals.all_proper_multideals(alg):
+            assert ideals.theta_of(md, cp).blocks == oracle_theta_of(md, cp)
+            assert ideals.is_prime(alg, md, cp) == oracle_is_prime(alg, md, cp)
+            got = [ideals.extend_to_ultra(alg, md, cp, atom).components
+                   for atom in ideals.admissible_atoms(alg, md, cp)]
+            assert got == oracle_extensions(alg, md, cp)
+
+
+def test_local_rejects_an_element_off_the_center():
+    bc = boolean_center(A32, CenterParams(1, 2))
+    off = next(x for x in range(A32.size) if x not in bc.members)
+    with pytest.raises(ValueError, match="outside the Boolean center"):
+        bc.local(off)

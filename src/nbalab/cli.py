@@ -184,8 +184,7 @@ def cmd_multideals(args) -> int:
                 cand = json.load(fh)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load candidate from {args.validate}: {exc}")
-        comps = [[tuple(e) for e in comp] for comp in cand["components"]]
-        res = ideals.validate_multideal(alg, comps)
+        res = ideals.validate_multideal(alg, cand["components"])
         out = {"status": res.status}
         if res.clause:
             out["clause"] = res.clause

@@ -228,6 +228,11 @@ class TableAlgebra:
     def element_label(self, i: int) -> str:
         return f"#{i}"
 
+    def index(self, el) -> int:
+        """No element tuple names a table's element; ShapeError always."""
+        raise ShapeError(f"a table's elements are carrier indices 0..{self.size - 1}, "
+                         f"not {list(el)}")
+
     def constant_index(self, k: int) -> int:
         return self.constants[k - 1]
 

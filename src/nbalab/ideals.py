@@ -80,17 +80,23 @@ class Congruence:
 
 
 def blocks_to_congruence(alg, rel: np.ndarray) -> Congruence:
-    """Congruence from an equivalence relation given as a boolean matrix."""
-    size = rel.shape[0]
-    blocks = [-1] * size
-    nxt = 0
-    for a in range(size):
-        if blocks[a] == -1:
-            for b in range(a, size):
-                if rel[a, b]:
-                    blocks[b] = nxt
-            nxt += 1
-    return Congruence(alg, tuple(blocks))
+    """Congruence from an equivalence relation given as a boolean matrix (ValueError otherwise)."""
+    return Congruence(alg, tuple(_least_labels(rel).tolist()))
+
+
+def _least_labels(rel: np.ndarray) -> np.ndarray:
+    """Least-element labels of an equivalence relation given as a boolean matrix.
+
+    Each row's first related element labels it; rel is an equivalence iff it relates
+    exactly the pairs with equal labels, and ValueError names the first pair where not.
+    """
+    lab = rel.argmax(1)
+    bad = np.argwhere(rel != (lab[:, None] == lab))
+    if bad.size:
+        a, b = bad[0].tolist()
+        raise ValueError(f"not an equivalence relation at ({a}, {b}): rel[{a}, {b}] is "
+                         f"{bool(rel[a, b])}, unlike the relation of their least related elements")
+    return lab
 
 
 def diagonal_congruence(alg) -> Congruence:
@@ -142,11 +148,11 @@ def join_congruences(alg, th1: Congruence, th2: Congruence) -> Congruence:
     return Congruence(alg, tuple(_merge(th1.least(), np.arange(th2.size), th2.least()).tolist()))
 
 
-def all_congruences(alg, bound: int = CARRIER_BOUND) -> list:
+def all_congruences(alg) -> list:
     """Every congruence, as joins of principal ones; deterministic order."""
     size = alg.size
-    if size > bound:
-        raise ValueError(f"carrier size {size} exceeds bound {bound}")
+    if size > CARRIER_BOUND:
+        raise ValueError(f"carrier size {size} exceeds bound {CARRIER_BOUND}")
     found = {diagonal_congruence(alg).blocks: diagonal_congruence(alg)}
     principal = []
     for a in range(size):
@@ -185,12 +191,6 @@ class Multideal:
     @property
     def is_ultra(self) -> bool:
         return not self.degenerate and len(self.carrier) == self.alg.size
-
-    def component_of(self, x: int) -> Optional[int]:
-        for k, comp in enumerate(self.components, start=1):
-            if x in comp:
-                return k
-        return None
 
     def to_json(self) -> dict:
         labels = _label_tuple(self.alg)
@@ -344,8 +344,8 @@ def theta_of(ideal: Multideal, cp: CenterParams = CenterParams(1, 2)) -> Congrue
     return Congruence(alg, tuple(np.unique(sig, axis=1, return_inverse=True)[1].ravel().tolist()))
 
 
-def all_proper_multideals(alg, bound: int = CARRIER_BOUND) -> list:
-    return [multideal_of(th) for th in all_congruences(alg, bound) if not th.is_total]
+def all_proper_multideals(alg) -> list:
+    return [multideal_of(th) for th in all_congruences(alg) if not th.is_total]
 
 
 # -- ultramultideals ------------------------------------------------------

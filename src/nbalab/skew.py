@@ -21,7 +21,6 @@ inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -38,7 +37,10 @@ from .transforms import CenterParams
 
 @dataclass(frozen=True)
 class SkewTable:
-    """A (meet, join, minus, 0) table algebra; join is the double-bar join."""
+    """A (meet, join, minus, 0) table algebra; join is the double-bar join.
+
+    A skew i-reduct carries q3 = t_i and is the right Church i-reduct (A, t_i, 0_i) too.
+    """
 
     size: int
     meet: np.ndarray
@@ -47,23 +49,7 @@ class SkewTable:
     zero: int
     labels: tuple
     q3: Optional[np.ndarray] = None  # ternary selector, when available
-    base: object = field(default=None, compare=False)
     index: Optional[int] = None  # i of a skew i-reduct, when applicable
-
-    def element_label(self, a: int) -> str:
-        return self.labels[a]
-
-
-@dataclass(frozen=True)
-class RightChurchTable:
-    """(A, t, 0): a candidate semicentral right Church algebra."""
-
-    size: int
-    q3: np.ndarray
-    zero: int
-    labels: tuple
-    base: object = field(default=None, compare=False)
-    index: Optional[int] = None
 
     def element_label(self, a: int) -> str:
         return self.labels[a]
@@ -78,7 +64,6 @@ class ChurchTable:
     zero: int
     one: int
     labels: tuple
-    base: object = field(default=None, compare=False)
     d: Optional[frozenset] = None
 
     def element_label(self, a: int) -> str:
@@ -97,9 +82,6 @@ class StarTable:
 
     def element_label(self, a: int) -> str:
         return self.labels[a]
-
-    def t(self, i: int, x, y, z):
-        return self.tables[i - 1][x, y, z]
 
 
 @dataclass(frozen=True)
@@ -131,35 +113,26 @@ def _t_table(alg, d: frozenset) -> np.ndarray:
 def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
     """Extract a reduct: kind in {"church", "rchurch", "skew"}.
 
-    church needs d, i in d, j outside d; rchurch and skew need i.
+    church needs d, i in d, j outside d; rchurch and skew need i, and give one
+    SkewTable: the skew i-reduct, whose selector q3 is the right Church t_i.
     """
     n = alg.n
-    if kind == "skew":
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of 1..{n}")
-        dset = frozenset({i})
-        t = _t_table(alg, dset)
-        zero = alg.constant_index(i)
-        s = t.shape[0]
-        a, b = np.ix_(range(s), range(s))
-        meet = t[a, b, zero]
-        join = t[a, a, b]
-        minus = t[b, zero, a]  # a \ b = t(b, 0, a)
-        return SkewTable(s, meet, join, minus, zero, _label_tuple(alg),
-                         q3=t, base=alg, index=i)
-    if kind == "rchurch":
+    if kind in ("skew", "rchurch"):
         if not 1 <= i <= n:
             raise ValueError(f"index {i} out of 1..{n}")
         t = _t_table(alg, frozenset({i}))
-        return RightChurchTable(t.shape[0], t, alg.constant_index(i), _label_tuple(alg),
-                                base=alg, index=i)
+        zero = alg.constant_index(i)
+        a, b = np.ix_(range(alg.size), range(alg.size))
+        # meet = t(a, b, 0), join = t(a, a, b), a \ b = t(b, 0, a)
+        return SkewTable(alg.size, t[a, b, zero], t[a, a, b], t[b, zero, a], zero,
+                         _label_tuple(alg), q3=t, index=i)
     if kind == "church":
         dset = frozenset(d)
         if i not in dset or (j in dset) or not dset:
             raise ValueError("church reduct needs i in d and j outside d")
         t = _t_table(alg, dset)
         return ChurchTable(t.shape[0], t, alg.constant_index(i), alg.constant_index(j),
-                           _label_tuple(alg), base=alg, d=dset)
+                           _label_tuple(alg), d=dset)
     raise ValueError(f"unknown reduct kind {kind!r}")
 
 
@@ -423,7 +396,7 @@ SUITES = {
     "SKEW_LATTICE": (SkewTable, "a skew-signature table", skew_lattice_axioms),
     "SKEW_BA": (SkewTable, "a skew-signature table", skew_ba_axioms),
     "RIGHT_HANDED": (SkewTable, "a skew-signature table", right_handed_axioms),
-    "SRCA": ((SkewTable, RightChurchTable), "a ternary-selector table", _srca_of),
+    "SRCA": (SkewTable, "a ternary-selector table", _srca_of),
     "NBA": ((PowerAlgebra, TableAlgebra), "a q-signature algebra", nba_axioms),
     "SKEW_STAR": (StarTable, "a star table", skew_star_axioms),
     "BOOLEAN": (BoolTable, "a Boolean table", boolean_axioms),
@@ -489,15 +462,11 @@ def relations(sk: SkewTable, budget=DEFAULT_BUDGET) -> RelationBundle:
 
 
 def equivalence_is_congruence(rel: np.ndarray, tables: Sequence[np.ndarray]) -> bool:
-    """rel an equivalence matrix; check block-respecting under binary tables."""
-    s = rel.shape[0]
-    for tab in tables:
-        for x, y in itertools.product(range(s), repeat=2):
-            if not rel[x, y]:
-                continue
-            if not (rel[tab[x], tab[y]].all() and rel[tab[:, x], tab[:, y]].all()):
-                return False
-    return True
+    """rel an equivalence matrix (ValueError otherwise); check its blocks respect each table."""
+    from .ideals import _least_labels, _violations
+
+    lab = _least_labels(rel)
+    return all(_violations(tab, lab)[0].size == 0 for tab in tables)
 
 
 # -- element classification --------------------------------------------------
@@ -542,8 +511,6 @@ def is_element_kind(alg, e, kind, i: int = None, budget=DEFAULT_BUDGET,
 
 @dataclass(frozen=True)
 class BooleanCenter:
-    alg: PowerAlgebra
-    cp: CenterParams
     members: tuple  # carrier indices of the base algebra, sorted
     table: BoolTable
     loc: np.ndarray = field(compare=False, repr=False)  # local index per base index, -1 off it
@@ -551,9 +518,6 @@ class BooleanCenter:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def contains(self, idx: int) -> bool:
-        return idx in set(self.members)
 
     def local(self, base_idx):
         """Local indices of base carrier indices (an int or an array); ValueError off the center."""
@@ -570,9 +534,6 @@ class BooleanCenter:
         below[z] = False
         np.fill_diagonal(below, False)
         return np.flatnonzero(~below.any(0) & (np.arange(self.size) != z)).tolist()
-
-    def leq(self, a: int, b: int) -> bool:
-        return int(self.table.meet[a, b]) == a
 
 
 def boolean_center(alg, cp: CenterParams) -> BooleanCenter:
@@ -600,7 +561,7 @@ def boolean_center(alg, cp: CenterParams) -> BooleanCenter:
     labels = tuple(sk.labels[a] for a in members)
     bt = BoolTable(len(members), loc[ops["meet"]], loc[ops["join"]], loc[ops["negation"]],
                    int(loc[ei]), int(loc[ej]), labels)
-    return BooleanCenter(alg, cp, tuple(int(a) for a in members), bt, loc)
+    return BooleanCenter(tuple(int(a) for a in members), bt, loc)
 
 
 # -- factor congruences of an element ------------------------------------------

@@ -77,9 +77,6 @@ class RewriteStep:
     position: tuple  # path of child offsets from the root
 
 
-RewriteTrace = tuple
-
-
 def _rule_at(t: Term, n: int) -> Optional[tuple]:
     """A root redex, if any: (rule name, reduct)."""
     if not isinstance(t, Q):

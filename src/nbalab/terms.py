@@ -185,9 +185,6 @@ def parse_term(text: str, n: int) -> Term:
     return t
 
 
-parse = parse_term
-
-
 def print_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name

@@ -162,11 +162,6 @@ def reconstruct_parenthesized(coords: Sequence[Element], i: int, alg: PowerAlgeb
 # -- signature translations ------------------------------------------------
 
 
-def to_q(t: Term, n: int) -> Term:
-    """Eliminate T/Bin nodes in favour of Q."""
-    return terms.elaborate(t, n)
-
-
 def to_star(t: Term, n: int) -> Term:
     """Rewrite onto the skew-star signature (t_i with singleton i, 0_i).
 
@@ -215,7 +210,7 @@ def to_skew(t: Term, n: int, i: int) -> Term:
 def translate_term(t: Term, target: str, n: int, i: int = 1) -> Term:
     """target is one of "q", "star", "skew"."""
     if target == "q":
-        return to_q(t, n)
+        return terms.elaborate(t, n)
     if target == "star":
         return to_star(t, n)
     if target == "skew":

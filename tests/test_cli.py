@@ -257,3 +257,27 @@ def test_lattice_commands_accept_the_table_of_a_power(capsys, tmp_path):
     path.write_text(json.dumps(core.table_of_power(core.power_algebra(2, 2)).to_json()))
     code, out = run(capsys, ["congruences", "--algebra", str(path)])
     assert code == 0 and json.loads(out)["count"] == 4
+
+
+def _validate(capsys, tmp_path, alg, components):
+    alg_path, cand_path = tmp_path / "alg.json", tmp_path / "cand.json"
+    alg_path.write_text(json.dumps(alg.to_json()))
+    cand_path.write_text(json.dumps({"components": components}))
+    return run(capsys, ["multideals", "--algebra", str(alg_path), "--validate", str(cand_path)])
+
+
+def test_multideals_validate_takes_carrier_indices_on_a_power(capsys, tmp_path):
+    code, out = _validate(capsys, tmp_path, core.power_algebra(2, 3), [[0], [7]])
+    assert code == 0 and json.loads(out) == {"status": "proper"}
+
+
+def test_multideals_validate_takes_carrier_indices_on_a_table(capsys, tmp_path):
+    table = core.table_of_power(core.power_algebra(2, 3))
+    code, out = _validate(capsys, tmp_path, table, [[0], [7]])
+    assert code == 0 and json.loads(out) == {"status": "proper"}
+
+
+def test_multideals_validate_refuses_element_lists_on_a_table(capsys, tmp_path):
+    table = core.table_of_power(core.power_algebra(2, 3))
+    code, out = _validate(capsys, tmp_path, table, [[[0]], [[7]]])
+    assert code == 1 and "carrier indices" in json.loads(out)["error"]

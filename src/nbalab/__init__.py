@@ -14,10 +14,8 @@ from .core import (
     TableAlgebra,
     algebra_from_json,
     generator,
-    load_algebra,
     nsubset_q,
     power_algebra,
-    q_eval,
     subalgebra_closure,
     table_of_power,
 )

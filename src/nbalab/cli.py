@@ -8,6 +8,7 @@ deterministic for fixed inputs and flags; sampled modes print their seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -22,15 +23,31 @@ def _emit(args, obj: dict, text: str = None):
         print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _load_algebra(path: str):
-    try:
-        return core.load_algebra(path)
-    except (OSError, ValueError, KeyError) as exc:
-        raise UsageError(f"cannot load algebra from {path}: {exc}")
-
-
 class UsageError(Exception):
     pass
+
+
+def _load(path: str, what: str, parse):
+    """parse(the JSON value in the file at path); a UsageError if the file is unreadable
+    or parse finds it malformed (ValueError, or KeyError for a missing field)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except KeyError as exc:
+        raise UsageError(f"cannot load {what} from {path}: no field {exc}")
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load {what} from {path}: {exc}")
+
+
+def _candidate(obj) -> list:
+    """The components of a multideal candidate: lists of carrier indices or elements."""
+    comps = obj["components"] if isinstance(obj, dict) else None
+    if not isinstance(comps, list) or not all(isinstance(c, list) for c in comps):
+        raise ValueError('a candidate is an object whose "components" is a list of lists')
+    for x in itertools.chain.from_iterable(comps):
+        if type(x) is not int and not (isinstance(x, list) and set(map(type, x)) <= {int}):
+            raise ValueError(f"component entry {x!r} is neither a carrier index nor an element")
+    return comps
 
 
 def _load_nba(path: str):
@@ -39,7 +56,7 @@ def _load_nba(path: str):
     Powers and subpowers are nBAs by construction; a raw table is audited
     first, and a refuted axiom is reported with its counterexample.
     """
-    alg = _load_algebra(path)
+    alg = _load(path, "algebra", core.algebra_from_json)
     if isinstance(alg, core.TableAlgebra):
         fail = skew.check_axioms(alg, "NBA").first_failure()
         if fail is not None:
@@ -51,7 +68,7 @@ def _load_nba(path: str):
 
 
 def cmd_check(args) -> int:
-    alg = _load_algebra(args.algebra)
+    alg = _load(args.algebra, "algebra", core.algebra_from_json)
     suite = {
         "nba": "NBA",
         "skewba": "SKEW_BA",
@@ -59,10 +76,8 @@ def cmd_check(args) -> int:
         "srca": "SRCA",
         "skewstar": "SKEW_STAR",
     }[args.suite]
-    if suite in ("SKEW_BA", "SKEW_LATTICE"):
+    if suite in ("SKEW_BA", "SKEW_LATTICE", "SRCA"):
         obj = skew.reduct(alg, "skew", i=args.i)
-    elif suite == "SRCA":
-        obj = skew.reduct(alg, "rchurch", i=args.i)
     elif suite == "SKEW_STAR":
         obj = skew.star_of(alg)
     else:
@@ -145,10 +160,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        table = synthesis.load_table(args.table)
-    except (OSError, ValueError, KeyError) as exc:
-        raise UsageError(f"cannot load table from {args.table}: {exc}")
+    table = _load(args.table, "table", synthesis.table_from_json)
     t = synthesis.synth(table)
     out = {"term": terms.print_term(t), "verified": synthesis.verify_term(t, table)}
     if args.simplify:
@@ -179,12 +191,7 @@ def cmd_congruences(args) -> int:
 def cmd_multideals(args) -> int:
     alg = _load_nba(args.algebra)
     if args.validate:
-        try:
-            with open(args.validate, encoding="utf-8") as fh:
-                cand = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load candidate from {args.validate}: {exc}")
-        res = ideals.validate_multideal(alg, cand["components"])
+        res = ideals.validate_multideal(alg, _load(args.validate, "candidate", _candidate))
         out = {"status": res.status}
         if res.clause:
             out["clause"] = res.clause
@@ -199,7 +206,7 @@ def cmd_multideals(args) -> int:
 
 
 def cmd_ultras(args) -> int:
-    alg = _load_algebra(args.algebra)
+    alg = _load(args.algebra, "algebra", core.algebra_from_json)
     ultras = ideals.all_ultramultideals(alg)
     for u in ultras:
         ideals.hom_of_ultra(u)  # raises ValueError unless u induces a homomorphism
@@ -209,7 +216,7 @@ def cmd_ultras(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    alg = _load_algebra(args.algebra)
+    alg = _load(args.algebra, "algebra", core.algebra_from_json)
     emb = ideals.stone_embed(alg)
     out = {
         "target": emb.target.to_json(),
@@ -225,9 +232,10 @@ def cmd_embed(args) -> int:
 
 
 def cmd_reduct(args) -> int:
-    alg = _load_algebra(args.algebra)
-    d = frozenset(int(v) for v in args.d.split(",")) if args.d else None
-    red = skew.reduct(alg, args.kind, i=args.i, d=d, j=args.j)
+    if args.kind == "church" and (args.d is None or args.j is None):
+        raise UsageError("--kind church needs --d and --j")
+    alg = _load(args.algebra, "algebra", core.algebra_from_json)
+    red = skew.reduct(alg, args.kind, i=args.i, d=args.d, j=args.j)
     if args.kind == "skew":
         out = {
             "kind": "skew", "i": args.i, "zero": red.zero,
@@ -257,6 +265,17 @@ def cmd_represent(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _index_set(text: str) -> frozenset:
+    return frozenset(int(v) for v in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nba", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -270,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["nba", "skewba", "srca", "skewstar", "skewlattice"])
     sp.add_argument("--i", type=int, default=1)
     sp.add_argument("--budget", type=int, default=terms.DEFAULT_BUDGET)
-    sp.add_argument("--samples", type=int, default=terms.DEFAULT_SAMPLES)
+    sp.add_argument("--samples", type=_positive, default=terms.DEFAULT_SAMPLES)
     sp.add_argument("--seed", type=int, default=terms.DEFAULT_SEED)
     common(sp)
     sp.set_defaults(fn=cmd_check)
@@ -288,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("rhs")
     sp.add_argument("--sampled", action="store_true")
     sp.add_argument("--budget", type=int, default=terms.DEFAULT_BUDGET)
-    sp.add_argument("--samples", type=int, default=terms.DEFAULT_SAMPLES)
+    sp.add_argument("--samples", type=_positive, default=terms.DEFAULT_SAMPLES)
     sp.add_argument("--seed", type=int, default=terms.DEFAULT_SEED)
     common(sp)
     sp.set_defaults(fn=cmd_equiv)
@@ -332,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algebra", required=True)
     sp.add_argument("--kind", required=True, choices=["church", "rchurch", "skew"])
     sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--d")
+    sp.add_argument("--d", type=_index_set)
     sp.add_argument("--j", type=int)
     common(sp)
     sp.set_defaults(fn=cmd_reduct)
@@ -355,7 +374,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (terms.TermError, ValueError, core.DimensionError, core.ShapeError) as exc:
+    except ValueError as exc:  # TermError, DimensionError and ShapeError among them
         print(json.dumps({"error": str(exc)}))
         return 1
 

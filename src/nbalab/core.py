@@ -8,7 +8,6 @@ n-partition of the point set (block k = points carrying value k).
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -256,9 +255,12 @@ class TableAlgebra:
 
 
 def element_index(alg, x) -> int:
-    """A carrier index given as any integer or as an element tuple."""
+    """A carrier index given as an integer or as an element tuple; ValueError for a
+    boolean, a float or anything else."""
     if np.ndim(x):
         return alg.index(tuple(x))
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{x!r} is neither a carrier index nor an element")
     i = operator.index(x)
     if not 0 <= i < alg.size:
         raise ValueError(f"element index {i} out of 0..{alg.size - 1}")
@@ -281,10 +283,6 @@ def table_of_power(alg: PowerAlgebra) -> TableAlgebra:
     """Materialise a PowerAlgebra as an explicit TableAlgebra."""
     consts = tuple(alg.index(c) for c in alg.constants)
     return TableAlgebra(alg.n, alg.size, consts, tuple(int(v) for v in alg.q_table().ravel()))
-
-
-def q_eval(alg: PowerAlgebra, x: Element, ys: Sequence[Element]) -> Element:
-    return alg.q(tuple(x), [tuple(y) for y in ys])
 
 
 # -- n-subsets ---------------------------------------------------------
@@ -358,20 +356,40 @@ def subalgebra_closure(alg: PowerAlgebra, gens: Iterable[Element]) -> PowerAlgeb
 # -- serialisation -----------------------------------------------------
 
 
+def json_int(v, name: str) -> int:
+    """v if it is a JSON integer (not a boolean); ValueError naming the field otherwise."""
+    if type(v) is not int:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
+def json_ints(v, name: str) -> tuple:
+    """v as a tuple if it is a list of JSON integers; ValueError naming the field otherwise."""
+    if not isinstance(v, list) or not set(map(type, v)) <= {int}:
+        raise ValueError(f"{name} must be a list of integers, got {v!r:.60}")
+    return tuple(v)
+
+
 def algebra_from_json(obj: dict):
+    """The algebra a JSON object describes; ValueError (or KeyError) if it is malformed.
+
+    Every number must be a JSON integer: numpy would truncate 0.5 and read true as 1.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"an algebra is a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    n = obj["n"]
+    n = json_int(obj["n"], "n")
     if kind == "power":
-        return PowerAlgebra(n, obj["points"])
+        return PowerAlgebra(n, json_int(obj["points"], "points"))
     if kind == "subpower":
-        alg = PowerAlgebra(n, obj["points"], tuple(tuple(e) for e in obj["carrier"]))
+        carrier = obj["carrier"]
+        if not isinstance(carrier, list):
+            raise ValueError(f"carrier must be a list of elements, got {carrier!r:.60}")
+        alg = PowerAlgebra(n, json_int(obj["points"], "points"),
+                           tuple(json_ints(e, "a carrier element") for e in carrier))
         alg.q_table()  # rejects a carrier that is not closed under q
         return alg
     if kind == "table":
-        return TableAlgebra(n, obj["size"], tuple(obj["constants"]), tuple(obj["q"]))
+        return TableAlgebra(n, json_int(obj["size"], "size"),
+                            json_ints(obj["constants"], "constants"), json_ints(obj["q"], "q"))
     raise ValueError(f"unknown algebra kind {kind!r}")
-
-
-def load_algebra(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))

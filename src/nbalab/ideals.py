@@ -403,8 +403,9 @@ def _extend_to_ultra(alg, ideal: Multideal, cp: CenterParams, atom: Optional[int
     return out
 
 
-def all_ultramultideals(alg, cp: CenterParams = CenterParams(1, 2)) -> list:
-    """One ultramultideal per atom of the Boolean center."""
+def all_ultramultideals(alg) -> list:
+    """One ultramultideal per atom of the Boolean center B_12."""
+    cp = CenterParams(1, 2)
     bc = boolean_center(alg, cp)
     coords = _coordinate_indices(alg, cp)
     minimum = Multideal(
@@ -547,9 +548,9 @@ class StoneEmbedding:
         return _preserves_q(self.alg, img, self.target)
 
 
-def stone_embed(alg, cp: CenterParams = CenterParams(1, 2)) -> StoneEmbedding:
+def stone_embed(alg) -> StoneEmbedding:
     """x maps to the tuple of its images under all ultramultideal homs."""
-    ultras = all_ultramultideals(alg, cp)
+    ultras = all_ultramultideals(alg)
     homs = [hom_of_ultra(u) for u in ultras]
     size = alg.size
     target = PowerAlgebra(alg.n, len(homs))
@@ -563,28 +564,30 @@ def stone_embed(alg, cp: CenterParams = CenterParams(1, 2)) -> StoneEmbedding:
 def boolean_ideal_filter_view(alg, ideal: Multideal):
     """For a 2-dimensional algebra: (I_2 as Boolean ideal, I_1 as filter).
 
-    The Boolean structure puts 1 = e_1 and 0 = e_2, with x /\\ y = q(x,y,0),
-    x \\/ y = q(x,1,y), -x = q(x,0,1).
+    The Boolean structure is the center B_21, which is the whole carrier of a 2BA:
+    1 = e_1 and 0 = e_2, with x /\\ y = q(x,y,0), x \\/ y = q(x,1,y), -x = q(x,0,1).
     """
     if alg.n != 2:
         raise DimensionError(f"Boolean view needs dimension 2, got {alg.n}")
     if ideal.degenerate:
         raise ValueError("degenerate multideal")
-    one = alg.constant_index(1)
-    zero = alg.constant_index(2)
-    qi = lambda s, a, b: (alg.q_idx(s, [a, b]))
-    i2, i1 = ideal.components[1], ideal.components[0]
-    everything = range(alg.size)
+    bc = boolean_center(alg, CenterParams(2, 1))
+    if bc.size != alg.size:
+        raise ValueError(f"not a 2BA: its Boolean center has {bc.size} of {alg.size} elements")
+    ba = bc.table  # local indices are carrier indices, since the center is everything
+    i2, i1, negs = (np.zeros(alg.size, dtype=bool) for _ in range(3))
+    i2[sorted(ideal.components[1])] = True
+    i1[sorted(ideal.components[0])] = True
+    negs[ba.neg[i2]] = True
     laws = (
-        ("the ideal holds 0", zero in i2),
-        ("the ideal is closed under join", all(qi(x, one, y) in i2 for x in i2 for y in i2)),
-        ("the ideal is downward closed",
-         all(qi(z, x, zero) in i2 for x in i2 for z in everything)),
-        ("the filter is the ideal's negations", i1 == frozenset(qi(x, zero, one) for x in i2)),
-        ("the filter is closed under meet", all(qi(x, y, zero) in i1 for x in i1 for y in i1)),
-        ("the filter is upward closed", all(qi(z, one, x) in i1 for x in i1 for z in everything)),
+        ("the ideal holds 0", i2[ba.zero]),
+        ("the ideal is closed under join", i2[ba.join[np.ix_(i2, i2)]].all()),
+        ("the ideal is downward closed", i2[ba.meet[:, i2]].all()),
+        ("the filter is the ideal's negations", np.array_equal(i1, negs)),
+        ("the filter is closed under meet", i1[ba.meet[np.ix_(i1, i1)]].all()),
+        ("the filter is upward closed", i1[ba.join[:, i1]].all()),
     )
     for law, holds in laws:
         if not holds:
             raise ValueError(f"Boolean view fails: {law}")
-    return (frozenset(i2), frozenset(i1))
+    return (frozenset(ideal.components[1]), frozenset(ideal.components[0]))

@@ -46,7 +46,12 @@ class PartialFn:
         return {str(p): v for p, v in enumerate(self.values) if v}
 
 
+POINT_BOUND = 5  # 3^5 partial functions; verify_embedding checks 3 * 3^10 pairs
+
+
 def all_partial_fns(points: int) -> list:
+    if not 0 <= points <= POINT_BOUND:
+        raise ValueError(f"point count {points} out of 0..{POINT_BOUND}")
     return [PartialFn(points, vals)
             for vals in itertools.product((0, 1, 2), repeat=points)]
 
@@ -84,8 +89,6 @@ def pf_q(f: PartialFn, g: PartialFn, h: PartialFn) -> PartialFn:
 
 def partial_fn_algebra(points: int) -> SkewTable:
     """The skew BA of all partial functions on a point set, with its q."""
-    if points > 5:
-        raise ValueError(f"point set of size {points} exceeds the bound 5")
     fns = all_partial_fns(points)
     idx = {f.values: t for t, f in enumerate(fns)}
     s = len(fns)

@@ -128,7 +128,9 @@ def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
                          _label_tuple(alg), q3=t, index=i)
     if kind == "church":
         dset = frozenset(d)
-        if i not in dset or (j in dset) or not dset:
+        if not dset | {i, j} <= set(range(1, n + 1)):
+            raise ValueError(f"subscripts d={sorted(dset)}, i={i}, j={j} must lie in 1..{n}")
+        if i not in dset or j in dset:
             raise ValueError("church reduct needs i in d and j outside d")
         t = _t_table(alg, dset)
         return ChurchTable(t.shape[0], t, alg.constant_index(i), alg.constant_index(j),
@@ -438,8 +440,8 @@ class AuditFailure(RuntimeError):
         super().__init__(f"{report.suite} audit failed at {fail.name}: {fail.counterexample}")
 
 
-def relations(sk: SkewTable, budget=DEFAULT_BUDGET) -> RelationBundle:
-    rep = check_axioms(sk, "SKEW_LATTICE", budget=budget)
+def relations(sk: SkewTable) -> RelationBundle:
+    rep = check_axioms(sk, "SKEW_LATTICE")
     if not rep.ok:
         raise AuditFailure(rep)
     m = sk.meet

@@ -8,13 +8,12 @@ innermost-first with a leftmost tie-break and records a trace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import generator
+from .core import generator, json_int, json_ints
 from .terms import Const, Q, Term, Var, eval_vec, free_vars
 
 
@@ -46,12 +45,11 @@ class TruthTable:
 
 
 def table_from_json(obj: dict) -> TruthTable:
-    return TruthTable(obj["n"], obj["k"], tuple(obj["entries"]))
-
-
-def load_table(path: str) -> TruthTable:
-    with open(path, encoding="utf-8") as fh:
-        return table_from_json(json.load(fh))
+    """The truth table a JSON object describes; ValueError (or KeyError) if it is malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a truth table is a JSON object, got {type(obj).__name__}")
+    return TruthTable(json_int(obj["n"], "n"), json_int(obj["k"], "k"),
+                      json_ints(obj["entries"], "entries"))
 
 
 def synth(table: TruthTable) -> Term:

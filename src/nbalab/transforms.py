@@ -125,17 +125,8 @@ def plus_i(x: Element, y: Element, i: int, alg: PowerAlgebra) -> Element:
 
 
 def reconstruct(coords: Sequence[Element], i: int, alg: PowerAlgebra) -> Element:
-    """Fold (x_1 meet_i e_1) +_i ... +_i (x_n meet_i e_n) back into x."""
-    if len(coords) != alg.n:
-        raise ShapeError(f"expected {alg.n} coordinates")
-    parts = [
-        t_eval({i}, tuple(c), alg.constant(k), alg.constant(i), alg)
-        for k, c in enumerate(coords, start=1)
-    ]
-    acc = parts[-1]
-    for p in reversed(parts[:-1]):
-        acc = plus_i(p, acc, i, alg)
-    return acc
+    """Fold (x_1 meet_i e_1) +_i ... +_i (x_n meet_i e_n) back into x, from the right."""
+    return reconstruct_parenthesized(coords, i, alg, range(alg.n - 2, -1, -1))
 
 
 def reconstruct_parenthesized(coords: Sequence[Element], i: int, alg: PowerAlgebra,
@@ -145,11 +136,12 @@ def reconstruct_parenthesized(coords: Sequence[Element], i: int, alg: PowerAlgeb
     order is a sequence of gap positions (0-based into the remaining list)
     selecting which adjacent pair to combine next.
     """
-    parts = [
+    if len(coords) != alg.n:
+        raise ShapeError(f"expected {alg.n} coordinates, got {len(coords)}")
+    items = [
         t_eval({i}, tuple(c), alg.constant(k), alg.constant(i), alg)
         for k, c in enumerate(coords, start=1)
     ]
-    items = list(parts)
     for gap in order:
         a = items.pop(gap)
         b = items.pop(gap)

@@ -1,0 +1,111 @@
+"""Malformed nba input: files and flags exit 2 with the reason, well-formed input that
+fails exits 1 with {"error": ...}, and neither ends in a traceback.
+
+Every case runs in-process through nbalab.cli.main; an uncaught exception fails it.
+"""
+
+import json
+
+import pytest
+
+from nbalab import core
+from nbalab.cli import main
+
+T22 = core.table_of_power(core.power_algebra(2, 2)).to_json()  # constants [0, 3]
+P22 = {"n": 2, "kind": "power", "points": 2}
+P23 = {"n": 2, "kind": "power", "points": 3}
+
+
+def with_q(pos, value):
+    q = list(T22["q"])
+    q[pos] = value
+    return {**T22, "q": q}
+
+
+def check(name):
+    return ["check", "--algebra", name, "--suite", "nba"]
+
+
+def validate(name):
+    return ["multideals", "--algebra", "p23.json", "--validate", name]
+
+
+def reduct(*flags):
+    return ["reduct", "--algebra", "p23.json", "--kind", "church", "--i", "1", *flags]
+
+
+def represent(points):
+    return ["represent", "--points", str(points), "--n", "3", "--i", "3"]
+
+
+# (id, input file contents or None, argv with "in.json" for that file, exit, reason)
+CASES = [
+    ("q entry 0.5, check", with_q(3, 0.5), check("in.json"), 2, "q must be a list of integers"),
+    ("q entry 0.5, congruences", with_q(3, 0.5), ["congruences", "--algebra", "in.json"], 2,
+     "q must be a list of integers"),
+    ("q entry true", with_q(0, True), check("in.json"), 2, "q must be a list of integers"),
+    ("float constants", {**T22, "constants": [0.0, 3.0]}, check("in.json"), 2,
+     "constants must be a list of integers"),
+    ("float size", {**T22, "size": 4.0}, check("in.json"), 2, "size must be an integer"),
+    ("float points", {**P22, "points": 2.0}, check("in.json"), 2, "points must be an integer"),
+    ("string in a carrier element",
+     {"n": 2, "kind": "subpower", "points": 2, "carrier": [[1, 1], [2, 2], ["a", 1]]},
+     check("in.json"), 2, "a carrier element must be a list of integers"),
+    ("algebra is a list", [T22], check("in.json"), 2, "an algebra is a JSON object"),
+    ("float table entry", {"n": 2, "k": 1, "entries": [1.5, 2]},
+     ["synth", "--table", "in.json"], 2, "entries must be a list of integers"),
+    ("boolean table entry", {"n": 2, "k": 1, "entries": [True, 2]},
+     ["synth", "--table", "in.json"], 2, "entries must be a list of integers"),
+    ("float arity", {"n": 2, "k": 1.0, "entries": [1, 2]},
+     ["synth", "--table", "in.json"], 2, "k must be an integer"),
+    ("string dimension", {"n": "2", "k": 1, "entries": [1, 2]},
+     ["synth", "--table", "in.json"], 2, "n must be an integer"),
+    ("table is a list", [{"n": 2, "k": 1, "entries": [1, 2]}],
+     ["synth", "--table", "in.json"], 2, "a truth table is a JSON object"),
+    ("string candidate entry", {"components": [[[1, 1, 1], "a"], [[2, 2, 2]]]},
+     validate("in.json"), 2, "component entry 'a'"),
+    ("float candidate entry", {"components": [[[1, 1, 1], 1.5], [[2, 2, 2]]]},
+     validate("in.json"), 2, "component entry 1.5"),
+    ("components not lists", {"components": 5}, validate("in.json"), 2, "list of lists"),
+    ("candidate is a list", [[[1, 1, 1]], [[2, 2, 2]]], validate("in.json"), 2,
+     "list of lists"),
+    ("boolean candidate entry", {"components": [[0, True], [7]]}, validate("in.json"), 2,
+     "component entry True"),
+    ("candidate without components", {"parts": [[0], [7]]}, validate("in.json"), 2,
+     "no field 'components'"),
+    ("check with zero samples", None,
+     ["check", "--algebra", "p23.json", "--suite", "nba", "--budget", "1", "--samples", "0"],
+     2, "--samples: must be a positive integer"),
+    ("equiv with zero samples", None,
+     ["equiv", "--n", "2", "--sampled", "--samples", "0", "x", "x"], 2,
+     "--samples: must be a positive integer"),
+    ("negative samples", None,
+     ["equiv", "--n", "2", "--sampled", "--samples", "-1", "x", "x"], 2,
+     "--samples: must be a positive integer"),
+    ("church reduct without d and j", None, reduct(), 2, "needs --d and --j"),
+    ("church reduct without j", None, reduct("--d", "1"), 2, "needs --d and --j"),
+    ("church reduct with d outside 1..n", None, reduct("--d", "1,7", "--j", "2"), 1,
+     "must lie in 1..2"),
+    ("represent on 9 points", None, represent(9), 1, "point count 9 out of 0..5"),
+    ("represent on -1 points", None, represent(-1), 1, "point count -1 out of 0..5"),
+]
+
+
+@pytest.mark.parametrize("contents, argv, code, reason", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_malformed_input_gives_its_reason(contents, argv, code, reason, tmp_path, capsys):
+    (tmp_path / "p23.json").write_text(json.dumps(P23), encoding="utf-8")
+    if contents is not None:
+        (tmp_path / "in.json").write_text(json.dumps(contents), encoding="utf-8")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code, (out, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert reason in err and not out
+    else:
+        assert reason in json.loads(out)["error"]

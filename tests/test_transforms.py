@@ -159,3 +159,13 @@ def test_central_retract_idempotent_and_fixes_center():
         assert central_retract(ALG, d, i, j, c) == c
     with pytest.raises(ValueError):
         central_retract(ALG, {2}, 1, 3, (1, 1))
+
+
+@pytest.mark.parametrize("count", [2, 4], ids=["n-1", "n+1"])
+def test_reconstruct_rejects_a_wrong_coordinate_count(count):
+    x, cp = (2, 3), CenterParams(1, 2)
+    coords = (coordinates(x, cp, ALG) * 2)[:count]
+    with pytest.raises(core.ShapeError, match="expected 3 coordinates"):
+        reconstruct_parenthesized(coords, cp.i, ALG, range(count - 1))
+    with pytest.raises(core.ShapeError, match="expected 3 coordinates"):
+        reconstruct(coords, cp.i, ALG)

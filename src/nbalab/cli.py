@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 
 from . import core, ideals, representation, skew, synthesis, terms, transforms
@@ -97,29 +98,14 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_element(text: str, alg):
-    text = text.strip()
-    if text.startswith("e") and text[1:].isdigit():
-        return alg.constant(int(text[1:]))
-    vals = tuple(int(v) for v in text.strip("[]").split(","))
-    alg._check_element(vals)
-    return vals
-
-
 def cmd_eval(args) -> int:
-    env = {}
-    points = 1
-    pairs = []
-    for kv in args.env or []:
-        name, _, val = kv.partition("=")
-        if not val:
-            raise UsageError(f"bad --env entry {kv!r}, expected name=value")
-        pairs.append((name, val))
-        if not val.lstrip().startswith("e"):
-            points = max(points, len(val.strip("[]").split(",")))
+    pairs = args.env or []
+    points = max((len(v) for _, v in pairs if isinstance(v, tuple)), default=1)
     alg = core.power_algebra(args.n, points)
-    for name, val in pairs:
-        env[name] = _parse_element(val, alg)
+    env = {}
+    for name, v in pairs:
+        env[name] = alg.constant(v) if isinstance(v, int) else v
+        alg._check_element(env[name])
     t = terms.parse_term(args.term, args.n)
     result = terms.eval_term(t, env, alg)
     label = "[" + ",".join(map(str, result)) + "]"
@@ -140,8 +126,7 @@ def cmd_equiv(args) -> int:
                                        samples=args.samples, seed=args.seed)
     out = {"valid": verdict.valid, "mode": verdict.mode}
     if verdict.mode == "sampled":
-        out["samples"] = verdict.samples or args.samples
-        out["seed"] = verdict.seed if verdict.seed is not None else args.seed
+        out.update(samples=verdict.samples, seed=verdict.seed)
     if verdict.counterexample:
         out["counterexample"] = verdict.counterexample
     text = f"{'Valid' if verdict.valid else 'Counterexample'} ({verdict.mode})"
@@ -265,11 +250,33 @@ def cmd_represent(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(least: int, what: str):
+    """An argparse type: an integer >= least, else "must be {what}, got ..."."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
+_positive = _int_at_least(1, "a positive integer")
+_dimension = _int_at_least(2, "an integer >= 2")
+
+
+def _env_entry(text: str) -> tuple:
+    """NAME=VALUE, VALUE being e<k> or a list of integers [v1,...,vm]: (name, k or the list)."""
+    name, _, val = text.partition("=")
+    val = val.strip()
+    try:
+        if re.fullmatch(r"e[0-9]+", val):
+            return name, int(val[1:])
+        return name, tuple(int(v) for v in val.strip("[]").split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad entry {text!r}, expected NAME=e<k> or NAME=[v1,...,vm] with integers v")
 
 
 def _index_set(text: str) -> frozenset:
@@ -283,37 +290,39 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--text", action="store_true", help="human-readable output")
 
+    def sampling(sp):
+        sp.add_argument("--budget", type=_positive, default=terms.DEFAULT_BUDGET)
+        sp.add_argument("--samples", type=_positive, default=terms.DEFAULT_SAMPLES)
+        sp.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"),
+                        default=terms.DEFAULT_SEED)
+
     sp = sub.add_parser("check", help="run an axiom suite against an algebra")
     sp.add_argument("--algebra", required=True)
     sp.add_argument("--suite", required=True,
                     choices=["nba", "skewba", "srca", "skewstar", "skewlattice"])
     sp.add_argument("--i", type=int, default=1)
-    sp.add_argument("--budget", type=int, default=terms.DEFAULT_BUDGET)
-    sp.add_argument("--samples", type=_positive, default=terms.DEFAULT_SAMPLES)
-    sp.add_argument("--seed", type=int, default=terms.DEFAULT_SEED)
+    sampling(sp)
     common(sp)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("eval", help="evaluate a term in a power algebra")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_dimension, required=True)
     sp.add_argument("--term", required=True)
-    sp.add_argument("--env", nargs="*", metavar="NAME=VALUE")
+    sp.add_argument("--env", nargs="*", type=_env_entry, metavar="NAME=VALUE")
     common(sp)
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("equiv", help="decide an identity over dimension n")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_dimension, required=True)
     sp.add_argument("lhs")
     sp.add_argument("rhs")
     sp.add_argument("--sampled", action="store_true")
-    sp.add_argument("--budget", type=int, default=terms.DEFAULT_BUDGET)
-    sp.add_argument("--samples", type=_positive, default=terms.DEFAULT_SAMPLES)
-    sp.add_argument("--seed", type=int, default=terms.DEFAULT_SEED)
+    sampling(sp)
     common(sp)
     sp.set_defaults(fn=cmd_equiv)
 
     sp = sub.add_parser("translate", help="translate a term between signatures")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_dimension, required=True)
     sp.add_argument("--term", required=True)
     sp.add_argument("--to", required=True, choices=["q", "skew", "star"])
     sp.add_argument("--i", type=int, default=1)
@@ -358,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("represent", help="verify the partial-function embedding")
     sp.add_argument("--points", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_dimension, required=True)
     sp.add_argument("--i", type=int, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_represent)

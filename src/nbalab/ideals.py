@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import DimensionError, PowerAlgebra, _closure, element_index, generator
 from .skew import boolean_center, reduct, _label_tuple
+from .terms import t_branches
 from .transforms import CenterParams
 
 CARRIER_BOUND = 64
@@ -321,15 +322,9 @@ def ideal_closure(alg, seed) -> Multideal:
 
 def _coordinate_indices(alg, cp: CenterParams) -> list:
     """coords[k-1][x] = carrier index of x_k = t_k(x, e_i, e_j)."""
-    size = alg.size
-    allv = np.arange(size, dtype=np.int64)
-    ei = np.full(size, alg.constant_index(cp.i), dtype=np.int64)
-    ej = np.full(size, alg.constant_index(cp.j), dtype=np.int64)
-    out = []
-    for k in range(1, alg.n + 1):
-        branches = [ej if s == k else ei for s in range(1, alg.n + 1)]
-        out.append(alg.q_vec(allv, branches))
-    return out
+    allv = np.arange(alg.size, dtype=np.int64)
+    ei, ej = alg.constant_index(cp.i), alg.constant_index(cp.j)
+    return [alg.q_vec(allv, t_branches(alg.n, {k}, ei, ej)) for k in range(1, alg.n + 1)]
 
 
 def theta_of(ideal: Multideal, cp: CenterParams = CenterParams(1, 2)) -> Congruence:

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import PowerAlgebra, TableAlgebra, element_index
-from .terms import (DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, evaluate, first_witness,
-                    q_ops)
+from .terms import (BINARY, DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, evaluate,
+                    first_witness, q_ops, star_chain, t_branches)
 from .transforms import CenterParams
 
 
@@ -107,7 +107,7 @@ def _label_tuple(alg) -> tuple:
 def _t_table(alg, d: frozenset) -> np.ndarray:
     """Dense table of t_d over carrier indices of a q-algebra."""
     x, y, z = np.ix_(*[range(alg.size)] * 3)
-    return alg.q_vec(x, [z if k in d else y for k in range(1, alg.n + 1)])
+    return alg.q_vec(x, t_branches(alg.n, d, y, z))
 
 
 def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
@@ -123,9 +123,8 @@ def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
         t = _t_table(alg, frozenset({i}))
         zero = alg.constant_index(i)
         a, b = np.ix_(range(alg.size), range(alg.size))
-        # meet = t(a, b, 0), join = t(a, a, b), a \ b = t(b, 0, a)
-        return SkewTable(alg.size, t[a, b, zero], t[a, a, b], t[b, zero, a], zero,
-                         _label_tuple(alg), q3=t, index=i)
+        meet, join, minus = (t[BINARY[k](a, b, zero, None)] for k in ("and", "bv", "sub"))
+        return SkewTable(alg.size, meet, join, minus, zero, _label_tuple(alg), q3=t, index=i)
     if kind == "church":
         dset = frozenset(d)
         if not dset | {i, j} <= set(range(1, n + 1)):
@@ -150,10 +149,7 @@ def nba_of_star(st: StarTable) -> TableAlgebra:
     """Table-level companion in the other direction, via the nested selector."""
     n, s = st.n, st.size
     grids = np.indices((s,) * (n + 1)).reshape(n + 1, -1)
-    x, ys = grids[0], grids[1:]
-    acc = ys[n - 1]
-    for i in range(n - 1, 0, -1):
-        acc = st.tables[i - 1][x, acc, ys[i - 1]]
+    acc = star_chain(lambda i, x, a, b: st.tables[i - 1][x, a, b], grids[0], grids[1:])
     return TableAlgebra(n, s, st.zeros, tuple(int(v) for v in acc))
 
 
@@ -345,21 +341,13 @@ def skew_star_axioms(st: StarTable) -> list:
     t = {i: _op(f"t{i}") for i in ks}
     rows = [(f"N1[{i},{j}]", "y z", t[i](f"0{j}", "y", "z"), "y")
             for i in ks for j in ks if j != i]
-    acc = f"0{n}"
-    for s in range(n - 1, 0, -1):
-        acc = t[s]("x", acc, f"0{s}")
-    rows.append(("N2", "x", acc, "x"))
+    chain = lambda ys: star_chain(lambda s, x, a, b: t[s](x, a, b), "x", ys)
+    rows.append(("N2", "x", chain([f"0{s}" for s in ks]), "x"))
     rows += [(f"N3[{i},{j}]", "x y z u", t[i]("x", t[j]("x", "y", "z"), "u"),
               t[j]("x", t[i]("x", "y", "u"), "z")) for i in ks for j in range(i + 1, n + 1)]
-    for i in ks:
-        # t1(x, t2(x, ... ti(x, t{i+1}(x, ... tn(x, y, y) ..., y), z) ..., y), y)
-        acc = "y"
-        for s in range(n, i, -1):
-            acc = t[s]("x", acc, "y")
-        acc = t[i]("x", acc, "z")
-        for s in range(i - 1, 0, -1):
-            acc = t[s]("x", acc, "y")
-        rows.append((f"N4[{i}]", "x y z", acc, t[i]("x", "y", "z")))
+    # N4[i]: t1(x, t2(x, ... ti(x, t{i+1}(x, ... tn(x, y, y) ..., y), z) ..., y), y)
+    rows += [(f"N4[{i}]", "x y z", chain(t_branches(n, {i}, "y", "z") + ("y",)),
+              t[i]("x", "y", "z")) for i in ks]
     rows += [(f"N5[{i},{j}]", "x y1 y2 y3 z1 z2 z3",
               t[i]("x", t[j]("y1", "y2", "y3"), t[j]("z1", "z2", "z3")),
               t[j](t[i]("x", "y1", "z1"), t[i]("x", "y2", "z2"), t[i]("x", "y3", "z3")))

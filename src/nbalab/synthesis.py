@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import generator, json_int, json_ints
-from .terms import Const, Q, Term, Var, eval_vec, free_vars
+from .terms import Const, Q, Term, Var, children, eval_vec, free_vars, subterms
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,8 @@ def _rule_at(t: Term, n: int) -> Optional[tuple]:
 
 def _simplify(t: Term, n: int, pos: tuple, trace: list) -> Term:
     if isinstance(t, Q):
-        scr = _simplify(t.scrutinee, n, pos + (0,), trace)
-        branches = tuple(
-            _simplify(b, n, pos + (s + 1,), trace) for s, b in enumerate(t.branches))
-        t = Q(scr, branches)
+        scr, *branches = (_simplify(s, n, pos + (c,), trace) for c, s in enumerate(children(t)))
+        t = Q(scr, tuple(branches))
     while True:
         hit = _rule_at(t, n)
         if hit is None:
@@ -114,14 +112,8 @@ def simplify(t: Term, n: int) -> tuple:
 
 
 def _check_q_signature(t: Term) -> None:
-    if isinstance(t, (Var, Const)):
-        return
-    if isinstance(t, Q):
-        _check_q_signature(t.scrutinee)
-        for b in t.branches:
-            _check_q_signature(b)
-        return
-    raise ValueError("simplify handles q-signature terms only")
+    if not all(isinstance(s, (Var, Const, Q)) for s in subterms(t)):
+        raise ValueError("simplify handles q-signature terms only")
 
 
 def _values(t: Term, n: int, k: int) -> np.ndarray:

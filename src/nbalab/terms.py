@@ -10,6 +10,10 @@ Grammar:
 subtraction, double-bar meet, double-bar join); "t" is the ternary
 selector.  Subscripts are subsets of 1..n.
 
+The derived operations are defined once, here, for terms and tables alike:
+t_branches (the branches of t_d), BINARY (each binary operation as t_d) and
+star_chain (q in the skew-star signature).  children and subterms walk terms.
+
 Every evaluation, here and in the axiom audits of nbalab.skew, runs on
 operation terms: a name, or a tuple (op, *args).  evaluate(t, env, ops)
 looks a name up in env (the variables) and then in ops (constants, as
@@ -34,8 +38,6 @@ DEFAULT_BUDGET = 10**7
 DEFAULT_SAMPLES = 10**5
 DEFAULT_SEED = 0xA11CE
 CHUNK = 1 << 16  # most assignments evaluated at once
-
-BIN_KINDS = ("and", "or", "sub", "bw", "bv")
 
 
 class TermError(ValueError):
@@ -76,6 +78,52 @@ class Bin:
 
 
 Term = object
+
+# each binary operation as t_d(x', y', z'): kind -> (x, y, 0_i, 1_j) -> (x', y', z')
+BINARY = {
+    "and": lambda x, y, zero, one: (x, y, zero),  # x and_d y = t_d(x, y, 0_i)
+    "or": lambda x, y, zero, one: (x, one, y),  # x or_d y = t_d(x, 1_j, y)
+    "sub": lambda x, y, zero, one: (y, zero, x),  # x sub_d y = t_d(y, 0_i, x)
+    "bw": lambda x, y, zero, one: (x, y, x),  # x bw_d y = t_d(x, y, x)
+    "bv": lambda x, y, zero, one: (x, x, y),  # x bv_d y = t_d(x, x, y)
+}
+BIN_KINDS = tuple(BINARY)
+
+
+def t_branches(n: int, d, y, z) -> tuple:
+    """The n branches of t_d(x, y, z) = q(x, ...): z at the indices in d, y elsewhere."""
+    return tuple(z if k in d else y for k in range(1, n + 1))
+
+
+def star_chain(t, x, ys):
+    """t_1(x, t_2(x, ... t_{m-1}(x, y_m, y_{m-1}) ..., y_2), y_1) for ys = (y_1, ..., y_m).
+
+    t(s, x, a, b) builds t_s(x, a, b); with m = n this is q(x, ys) in the skew-star signature.
+    """
+    acc = ys[-1]
+    for s in range(len(ys) - 1, 0, -1):
+        acc = t(s, x, acc, ys[s - 1])
+    return acc
+
+
+def children(t: Term) -> tuple:
+    """The arguments of a node in order: Q (scrutinee, *branches), T (x, y, z), Bin (lhs, rhs)."""
+    if isinstance(t, Q):
+        return (t.scrutinee, *t.branches)
+    if isinstance(t, T):
+        return (t.x, t.y, t.z)
+    if isinstance(t, Bin):
+        return (t.lhs, t.rhs)
+    return ()
+
+
+def subterms(t: Term) -> Iterator:
+    """t and its subterms in preorder, walked without recursion."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(reversed(children(s)))
 
 
 # -- parsing / printing -------------------------------------------------
@@ -191,71 +239,39 @@ def print_term(t: Term) -> str:
     if isinstance(t, Const):
         return f"{'e' if t.style == 'e' else '0'}{t.k}"
     if isinstance(t, Q):
-        return "q(" + ",".join(print_term(s) for s in (t.scrutinee, *t.branches)) + ")"
-    sub = "[" + ",".join(str(k) for k in sorted(t.d)) + "]"
-    if isinstance(t, T):
-        return f"t{sub}(" + ",".join(print_term(s) for s in (t.x, t.y, t.z)) + ")"
-    return f"{t.kind}{sub}(" + ",".join(print_term(s) for s in (t.lhs, t.rhs)) + ")"
+        head = "q"
+    else:
+        head = ("t" if isinstance(t, T) else t.kind) + "[" + ",".join(map(str, sorted(t.d))) + "]"
+    return head + "(" + ",".join(print_term(s) for s in children(t)) + ")"
 
 
 def free_vars(t: Term) -> list:
     """Free variables in first-occurrence order."""
-    out: list = []
-    seen = set()
-
-    def walk(s):
-        if isinstance(s, Var):
-            if s.name not in seen:
-                seen.add(s.name)
-                out.append(s.name)
-        elif isinstance(s, Q):
-            walk(s.scrutinee)
-            for b in s.branches:
-                walk(b)
-        elif isinstance(s, T):
-            walk(s.x), walk(s.y), walk(s.z)
-        elif isinstance(s, Bin):
-            walk(s.lhs), walk(s.rhs)
-
-    walk(t)
-    return out
+    return list(dict.fromkeys(s.name for s in subterms(t) if isinstance(s, Var)))
 
 
 # -- elaboration of derived operators to q ------------------------------
-
-
-def _t_to_q(n: int, d: frozenset, x: Term, y: Term, z: Term) -> Q:
-    branches = tuple(z if k in d else y for k in range(1, n + 1))
-    return Q(x, branches)
 
 
 def elaborate(t: Term, n: int) -> Term:
     """Rewrite T/Bin nodes into their defining Q form."""
     if isinstance(t, (Var, Const)):
         return t
+    if isinstance(t, Bin) and not t.d:
+        raise TermError("empty subscript")
+    if not (isinstance(t, (Q, T)) or isinstance(t, Bin) and t.kind in BINARY):
+        raise TermError(f"unknown node {t!r}")
+    args = [elaborate(s, n) for s in children(t)]
     if isinstance(t, Q):
-        return Q(elaborate(t.scrutinee, n), tuple(elaborate(b, n) for b in t.branches))
-    if isinstance(t, T):
-        return _t_to_q(n, t.d, elaborate(t.x, n), elaborate(t.y, n), elaborate(t.z, n))
+        return Q(args[0], tuple(args[1:]))
     if isinstance(t, Bin):
-        if not t.d:
-            raise TermError("empty subscript")
-        lhs, rhs = elaborate(t.lhs, n), elaborate(t.rhs, n)
-        i = min(t.d)
-        if t.kind == "and":  # x and_d y = t_d(x, y, 0_i)
-            return _t_to_q(n, t.d, lhs, rhs, Const(i, "0"))
-        if t.kind == "or":  # x or_d y = t_d(x, 1_j, y), j smallest outside d
-            comp = sorted(set(range(1, n + 1)) - t.d)
-            if not comp:
-                raise TermError("or needs an index outside the subscript")
-            return _t_to_q(n, t.d, lhs, Const(comp[0], "e"), rhs)
-        if t.kind == "sub":  # y sub_d x = t_d(x, 0_i, y): lhs minus rhs
-            return _t_to_q(n, t.d, rhs, Const(i, "0"), lhs)
-        if t.kind == "bw":  # x bw_d y = t_d(x, y, x)
-            return _t_to_q(n, t.d, lhs, rhs, lhs)
-        if t.kind == "bv":  # x bv_d y = t_d(x, x, y)
-            return _t_to_q(n, t.d, lhs, lhs, rhs)
-    raise TermError(f"unknown node {t!r}")
+        outside = set(range(1, n + 1)) - t.d
+        one = Const(min(outside), "e") if outside else None  # 1_j, j smallest outside d
+        args = BINARY[t.kind](*args, Const(min(t.d), "0"), one)
+        if any(a is None for a in args):
+            raise TermError(f"{t.kind} needs an index outside the subscript")
+    x, y, z = args
+    return Q(x, t_branches(n, t.d, y, z))
 
 
 # -- evaluation ---------------------------------------------------------
@@ -296,7 +312,7 @@ def op_term(t: Term, n: int):
         return f"e{t.k}"
     if len(t.branches) != n:
         raise TermError(f"q node has {len(t.branches)} branches, expected {n}")
-    return ("q", op_term(t.scrutinee, n), *(op_term(b, n) for b in t.branches))
+    return ("q", *(op_term(s, n) for s in children(t)))
 
 
 def eval_vec(t: Term, env: dict, alg):

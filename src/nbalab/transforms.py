@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .core import Element, PowerAlgebra, ShapeError
 from . import terms
-from .terms import Bin, Const, Q, T, Term, TermError
+from .terms import Bin, Const, T, Term, TermError
 
 
 @dataclass(frozen=True)
@@ -57,39 +57,37 @@ def all_permutations(n: int):
 # -- t_d and the binary operations ---------------------------------------
 
 
-def t_eval(d, x: Element, y: Element, z: Element, alg: PowerAlgebra) -> Element:
-    """t_d(x,y,z) = q(x, y outside d, z inside d)."""
+def _index_set(d, n: int) -> frozenset:
+    """d as a frozenset; ValueError unless it is a nonempty subset of 1..n."""
     d = frozenset(d)
     if not d:
         raise ValueError("index set must be nonempty")
-    if not d <= set(range(1, alg.n + 1)):
-        raise ValueError(f"index set {sorted(d)} not within 1..{alg.n}")
-    branches = [z if k in d else y for k in range(1, alg.n + 1)]
-    return alg.q(tuple(x), branches)
+    if not d <= set(range(1, n + 1)):
+        raise ValueError(f"index set {sorted(d)} not within 1..{n}")
+    return d
+
+
+def t_eval(d, x: Element, y: Element, z: Element, alg: PowerAlgebra) -> Element:
+    """t_d(x,y,z) = q(x, y outside d, z inside d)."""
+    return alg.q(tuple(x), terms.t_branches(alg.n, _index_set(d, alg.n), y, z))
+
+
+# derived_bin's name for each kind of terms.BINARY
+BIN_NAMES = {"meet": "and", "join": "or", "minus": "sub", "barwedge": "bw", "barvee": "bv"}
 
 
 def derived_bin(kind: str, d, x: Element, y: Element, alg: PowerAlgebra,
                 i: int = None, j: int = None) -> Element:
-    """The five binary operations; i defaults to min(d), j to min outside d."""
-    d = frozenset(d)
-    if kind == "meet":
-        i = min(d) if i is None else i
-        return t_eval(d, x, y, alg.constant(i), alg)
-    if kind == "join":
-        comp = sorted(set(range(1, alg.n + 1)) - d)
-        if not comp:
-            raise ValueError("join needs an index outside d")
-        j = comp[0] if j is None else j
-        return t_eval(d, x, alg.constant(j), y, alg)
-    if kind == "minus":
-        # x minus y = x \_d y = t_d(y, 0_i, x)
-        i = min(d) if i is None else i
-        return t_eval(d, y, alg.constant(i), x, alg)
-    if kind == "barwedge":
-        return t_eval(d, x, y, x, alg)
-    if kind == "barvee":
-        return t_eval(d, x, x, y, alg)
-    raise ValueError(f"unknown binary kind {kind!r}")
+    """The five binary operations of BIN_NAMES; i defaults to min(d), j to min outside d."""
+    if kind not in BIN_NAMES:
+        raise ValueError(f"unknown binary kind {kind!r}")
+    d = _index_set(d, alg.n)
+    outside = set(range(1, alg.n + 1)) - d
+    if kind == "join" and not outside:
+        raise ValueError("join needs an index outside d")
+    zero = alg.constant(min(d) if i is None else i)
+    one = alg.constant(min(outside) if j is None else j) if outside else None
+    return t_eval(d, *terms.BINARY[BIN_NAMES[kind]](x, y, zero, one), alg)
 
 
 # -- the symmetric group action ------------------------------------------
@@ -157,7 +155,7 @@ def reconstruct_parenthesized(coords: Sequence[Element], i: int, alg: PowerAlgeb
 def to_star(t: Term, n: int) -> Term:
     """Rewrite onto the skew-star signature (t_i with singleton i, 0_i).
 
-    Q nodes become the nested selector chain with t_1 outermost.
+    Q nodes become the nested selector chain with t_1 outermost (terms.star_chain).
     """
     if isinstance(t, terms.Var):
         return t
@@ -165,13 +163,8 @@ def to_star(t: Term, n: int) -> Term:
         return Const(t.k, "0")
     if isinstance(t, (T, Bin)):
         return to_star(terms.elaborate(t, n), n)
-    x = to_star(t.scrutinee, n)
-    ys = [to_star(b, n) for b in t.branches]
-    # t_1(x, t_2(x, ... t_{n-1}(x, y_n, y_{n-1}) ..., y_2), y_1)
-    acc = ys[n - 1]
-    for s in range(n - 1, 0, -1):
-        acc = T(frozenset({s}), x, acc, ys[s - 1])
-    return acc
+    x, *ys = (to_star(s, n) for s in terms.children(t))
+    return terms.star_chain(lambda s, x, a, b: T(frozenset({s}), x, a, b), x, ys)
 
 
 def to_skew(t: Term, n: int, i: int) -> Term:
@@ -206,6 +199,8 @@ def translate_term(t: Term, target: str, n: int, i: int = 1) -> Term:
     if target == "star":
         return to_star(t, n)
     if target == "skew":
+        if not 1 <= i <= n:
+            raise ValueError(f"index {i} out of 1..{n}")
         return to_skew(t, n, i)
     raise ValueError(f"unknown target {target!r}")
 

@@ -14,6 +14,7 @@ from nbalab.cli import main
 T22 = core.table_of_power(core.power_algebra(2, 2)).to_json()  # constants [0, 3]
 P22 = {"n": 2, "kind": "power", "points": 2}
 P23 = {"n": 2, "kind": "power", "points": 3}
+P32 = {"n": 3, "kind": "power", "points": 2}
 
 
 def with_q(pos, value):
@@ -36,6 +37,14 @@ def reduct(*flags):
 
 def represent(points):
     return ["represent", "--points", str(points), "--n", "3", "--i", "3"]
+
+
+def env(*entries):
+    return ["eval", "--n", "2", "--term", "q(x,y,z)", "--env", *entries]
+
+
+def translate(n, term, to, *flags):
+    return ["translate", "--n", n, "--term", term, "--to", to, *flags]
 
 
 # (id, input file contents or None, argv with "in.json" for that file, exit, reason)
@@ -88,6 +97,36 @@ CASES = [
      "must lie in 1..2"),
     ("represent on 9 points", None, represent(9), 1, "point count 9 out of 0..5"),
     ("represent on -1 points", None, represent(-1), 1, "point count -1 out of 0..5"),
+    ("float env value", None, env("x=[1.5,2]", "y=[1,1]", "z=[2,2]"), 2,
+     "--env: bad entry 'x=[1.5,2]'"),
+    ("boolean env value", None, env("x=[true]", "y=[1]", "z=[2]"), 2,
+     "--env: bad entry 'x=[true]'"),
+    ("empty env value", None, env("x=[]", "y=[1]", "z=[2]"), 2, "--env: bad entry 'x=[]'"),
+    ("check with negative budget", P32, check("in.json") + ["--budget", "-3"], 2,
+     "--budget: must be a positive integer"),
+    ("check with zero budget", P32, check("in.json") + ["--budget", "0"], 2,
+     "--budget: must be a positive integer"),
+    ("equiv with negative budget", None, ["equiv", "--n", "2", "--budget", "-1", "x", "x"], 2,
+     "--budget: must be a positive integer"),
+    ("check with negative seed", P32, check("in.json") + ["--seed", "-1"], 2,
+     "--seed: must be a non-negative integer"),
+    ("sampled equiv with negative seed", None,
+     ["equiv", "--n", "2", "--sampled", "--seed", "-5", "q(x,y,z)", "q(x,y,z)"], 2,
+     "--seed: must be a non-negative integer"),
+    ("translate at dimension 1", None, translate("1", "q(x,y)", "star"), 2,
+     "--n: must be an integer >= 2"),
+    ("translate at dimension 0", None, translate("0", "x", "q"), 2,
+     "--n: must be an integer >= 2"),
+    ("eval at dimension 1", None, ["eval", "--n", "1", "--term", "x", "--env", "x=[1]"], 2,
+     "--n: must be an integer >= 2"),
+    ("equiv at dimension 1", None, ["equiv", "--n", "1", "x", "x"], 2,
+     "--n: must be an integer >= 2"),
+    ("represent at dimension 1", None, ["represent", "--points", "1", "--n", "1", "--i", "1"],
+     2, "--n: must be an integer >= 2"),
+    ("skew translation with i outside 1..n", None, translate("3", "x", "skew", "--i", "7"), 1,
+     "index 7 out of 1..3"),
+    ("skew translation of t[1] with i outside 1..n", None,
+     translate("3", "t[1](x,y,z)", "skew", "--i", "7"), 1, "index 7 out of 1..3"),
 ]
 
 
@@ -109,3 +148,10 @@ def test_malformed_input_gives_its_reason(contents, argv, code, reason, tmp_path
         assert reason in err and not out
     else:
         assert reason in json.loads(out)["error"]
+
+
+def test_out_of_range_env_value_is_an_error_not_a_usage_error(capsys):
+    """A well-formed --env value outside 1..n exits 1 with {"error": ...}."""
+    assert main(env("x=[5]", "y=[1]", "z=[2]")) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "value 5 out of 1..2 in (5,)"} and not err

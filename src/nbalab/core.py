@@ -7,6 +7,7 @@ n-partition of the point set (block k = points carrying value k).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -15,6 +16,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 Element = tuple  # tuple of ints in 1..n
+
+# the most q-table entries a full power's q_vec builds its table for and gathers
+# from (2^5, 3^2 and the generators up to n = 5); larger ones run the digit kernel
+GATHER_TABLE_MAX = 1 << 16
 
 
 class DimensionError(ValueError):
@@ -164,8 +169,13 @@ class PowerAlgebra:
         return tab
 
     def q_vec(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:
-        """Vectorised q over arrays of carrier indices."""
-        if self.carrier is None:  # a full power's indices are its codes
+        """Vectorised q over arrays of carrier indices.
+
+        A full power whose table has more than GATHER_TABLE_MAX entries runs
+        the digit kernel on its indices, which are its codes; every other
+        algebra gathers from its q table.
+        """
+        if self.carrier is None and (self.n**self.points) ** (self.n + 1) > GATHER_TABLE_MAX:
             return self._q_codes(s, branches)
         return self.q_table()[tuple([s, *branches])]
 
@@ -267,8 +277,14 @@ def element_index(alg, x) -> int:
     return i
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def generator(n: int) -> PowerAlgebra:
-    """The one-point power whose carrier is exactly {e_1..e_n}."""
+    """The one-point power whose carrier is exactly {e_1..e_n}.
+
+    One object per n, so that its q table, which q_vec gathers from, is
+    built once per process and not once per check.  The cache is typed, so
+    2.0 or numpy's 2 is not taken for 2 and still fails _check_dim.
+    """
     _check_dim(n)
     return PowerAlgebra(n, 1)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import PowerAlgebra, TableAlgebra, element_index
 from .terms import (BINARY, DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, evaluate,
-                    first_witness, q_ops, star_chain, t_branches)
+                    first_witness, op_kids, q_ops, shared_nodes, star_chain, t_branches)
 from .transforms import CenterParams
 
 
@@ -167,7 +167,9 @@ class Axiom:
     ops: dict = field(compare=False, repr=False)
 
     def check(self, env: dict) -> tuple:
-        return evaluate(self.lhs, env, self.ops), evaluate(self.rhs, env, self.ops)
+        memo = {}  # for this env only: a node in both sides is evaluated once
+        keep = shared_nodes((self.lhs, self.rhs), op_kids)
+        return tuple(evaluate(side, env, self.ops, memo, keep) for side in (self.lhs, self.rhs))
 
 
 def _axioms(ops: dict, rows) -> list:

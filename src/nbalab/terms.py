@@ -12,7 +12,12 @@ selector.  Subscripts are subsets of 1..n.
 
 The derived operations are defined once, here, for terms and tables alike:
 t_branches (the branches of t_d), BINARY (each binary operation as t_d) and
-star_chain (q in the skew-star signature).  children and subterms walk terms.
+star_chain (q in the skew-star signature).  children and subterms walk terms;
+fold is the one post-order walk that the rewriting, printing and evaluating
+functions run on.  It combines each distinct node, by identity, once, so the
+terms that t_branches and star_chain build, which repeat one subterm object
+under several parents, cost their distinct nodes and not their trees, and
+it keeps its own stack, so none of them recurses once per nesting level.
 
 Every evaluation, here and in the axiom audits of nbalab.skew, runs on
 operation terms: a name, or a tuple (op, *args).  evaluate(t, env, ops)
@@ -117,13 +122,79 @@ def children(t: Term) -> tuple:
     return ()
 
 
-def subterms(t: Term) -> Iterator:
-    """t and its subterms in preorder, walked without recursion."""
-    stack = [t]
+def subterms(*roots, kids=children) -> Iterator:
+    """The roots and their distinct subterms, each once, in preorder of first occurrence.
+
+    Walked without recursion; a node reached again through a second parent
+    (by identity) is skipped with everything below it.
+    """
+    seen = {}  # id -> node, which keeps the ids of the walk in use
+    stack = list(reversed(roots))
     while stack:
         s = stack.pop()
+        if id(s) in seen:
+            continue
+        seen[id(s)] = s
         yield s
-        stack.extend(reversed(children(s)))
+        stack.extend(reversed(kids(s)))
+
+
+def shared_nodes(roots, kids=children) -> set:
+    """Ids of the nodes below roots held by more than one argument place, or by a
+    root and an argument place: the nodes whose values a fold must keep.
+
+    One walk that pushes each argument place of each distinct node once; a
+    node pushed a second time is shared.  It visits the nodes in preorder,
+    as fold does, so a kids that rejects nodes rejects the same one first.
+    Only ids are kept, as the roots hold every node below them meanwhile.
+    """
+    seen, shared = set(), set()
+    stack = list(reversed(roots))
+    while stack:
+        key = id(s := stack.pop())
+        if key in seen:
+            shared.add(key)
+        else:
+            seen.add(key)
+            stack.extend(reversed(kids(s)))
+    return shared
+
+
+def fold(t, kids, combine, memo: Optional[dict] = None, keep: Optional[set] = None):
+    """combine(node, values of kids(node)) over the DAG below t, in post-order.
+
+    Each distinct node, by identity, is combined once, however many parents
+    reach it; memo maps id(node) to (node, value), holding the node so that
+    its id is not reused while the memo lives.  The value of a node outside
+    keep is dropped from memo once its one parent is combined, so a walk
+    holds about one value per nesting level and per shared node.  keep
+    defaults to shared_nodes([t], kids); a caller that folds several roots
+    into one memo, to share their values, passes the shared_nodes of all of
+    them.  kids is called on a node before its kids are visited, so it may
+    reject the node first.  The walk keeps its own stack and does not recurse.
+    """
+    memo = {} if memo is None else memo
+    if id(t) in memo:
+        return memo[id(t)][1]
+    keep = shared_nodes([t], kids) if keep is None else keep
+    cs = kids(t)
+    stack = [(t, cs, iter(cs))]  # nodes whose kids are not all combined: kids, those left
+    while stack:
+        node, cs, left = stack[-1]
+        for c in left:
+            if id(c) not in memo:
+                grand = kids(c)
+                if grand:
+                    stack.append((c, grand, iter(grand)))
+                    break
+                memo[id(c)] = (c, combine(c, ()))
+        else:
+            stack.pop()
+            memo[id(node)] = (node, combine(node, [memo[id(c)][1] for c in cs]))
+            for c in cs:
+                if id(c) not in keep:
+                    del memo[id(c)]
+    return memo[id(t)][1]
 
 
 # -- parsing / printing -------------------------------------------------
@@ -175,19 +246,33 @@ class _Parser:
             if m.group(3) != ",":
                 self.error("expected ',' or ']'")
 
-    def parse_args(self):
-        self.expect("(")
-        args = [self.parse_term()]
+    def parse_term(self) -> Term:
+        """One term, read with an explicit stack of the applications still open."""
+        open_apps = []  # (head word, subscript, arguments so far), innermost last
         while True:
             m = self.next_token()
-            if m.group(3) == ")":
-                return args
-            if m.group(3) != ",":
-                self.error("expected ',' or ')'")
-            args.append(self.parse_term())
+            word = m.group(1)
+            if word == "q" or word == "t" or word in BIN_KINDS:
+                d = None if word == "q" else self.parse_subscript()
+                self.expect("(")
+                open_apps.append((word, d, []))
+                continue
+            t = self.parse_leaf(m)
+            while open_apps:
+                word, d, args = open_apps[-1]
+                args.append(t)
+                m = self.next_token()
+                if m.group(3) == ",":
+                    break
+                if m.group(3) != ")":
+                    self.error("expected ',' or ')'")
+                open_apps.pop()
+                t = self.apply(word, d, args)
+            if not open_apps:
+                return t
 
-    def parse_term(self) -> Term:
-        m = self.next_token()
+    def parse_leaf(self, m) -> Term:
+        """The constant or variable that token m starts."""
         word = m.group(1)
         if m.group(2) is not None:
             digits = m.group(2)
@@ -200,21 +285,6 @@ class _Parser:
             self.error("unexpected number")
         if word is None:
             self.error("expected term")
-        if word == "q":
-            args = self.parse_args()
-            if len(args) != self.n + 1:
-                self.error(f"q takes {self.n + 1} arguments, got {len(args)}")
-            return Q(args[0], tuple(args[1:]))
-        if word == "t" or word in BIN_KINDS:
-            d = self.parse_subscript()
-            args = self.parse_args()
-            if word == "t":
-                if len(args) != 3:
-                    self.error("t takes 3 arguments")
-                return T(d, *args)
-            if len(args) != 2:
-                self.error(f"{word} takes 2 arguments")
-            return Bin(word, d, *args)
         cm = re.fullmatch(r"e(\d+)", word)
         if cm:
             k = int(cm.group(1))
@@ -222,6 +292,20 @@ class _Parser:
                 self.error(f"constant e{k} out of 1..{self.n}")
             return Const(k, "e")
         return Var(word)
+
+    def apply(self, word: str, d, args: list) -> Term:
+        """The node of head word over its parsed arguments, checking its arity."""
+        if word == "q":
+            if len(args) != self.n + 1:
+                self.error(f"q takes {self.n + 1} arguments, got {len(args)}")
+            return Q(args[0], tuple(args[1:]))
+        if word == "t":
+            if len(args) != 3:
+                self.error("t takes 3 arguments")
+            return T(d, *args)
+        if len(args) != 2:
+            self.error(f"{word} takes 2 arguments")
+        return Bin(word, d, *args)
 
 
 def parse_term(text: str, n: int) -> Term:
@@ -234,15 +318,18 @@ def parse_term(text: str, n: int) -> Term:
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return f"{'e' if t.style == 'e' else '0'}{t.k}"
-    if isinstance(t, Q):
-        head = "q"
-    else:
-        head = ("t" if isinstance(t, T) else t.kind) + "[" + ",".join(map(str, sorted(t.d))) + "]"
-    return head + "(" + ",".join(print_term(s) for s in children(t)) + ")"
+    def text(s, args):
+        if isinstance(s, Var):
+            return s.name
+        if isinstance(s, Const):
+            return f"{'e' if s.style == 'e' else '0'}{s.k}"
+        if isinstance(s, Q):
+            head = "q"
+        else:
+            head = ("t" if isinstance(s, T) else s.kind) + "[" + ",".join(map(str, sorted(s.d))) + "]"
+        return head + "(" + ",".join(args) + ")"
+
+    return fold(t, children, text)
 
 
 def free_vars(t: Term) -> list:
@@ -253,25 +340,37 @@ def free_vars(t: Term) -> list:
 # -- elaboration of derived operators to q ------------------------------
 
 
-def elaborate(t: Term, n: int) -> Term:
-    """Rewrite T/Bin nodes into their defining Q form."""
-    if isinstance(t, (Var, Const)):
-        return t
-    if isinstance(t, Bin) and not t.d:
-        raise TermError("empty subscript")
-    if not (isinstance(t, (Q, T)) or isinstance(t, Bin) and t.kind in BINARY):
-        raise TermError(f"unknown node {t!r}")
-    args = [elaborate(s, n) for s in children(t)]
-    if isinstance(t, Q):
-        return Q(args[0], tuple(args[1:]))
-    if isinstance(t, Bin):
-        outside = set(range(1, n + 1)) - t.d
-        one = Const(min(outside), "e") if outside else None  # 1_j, j smallest outside d
-        args = BINARY[t.kind](*args, Const(min(t.d), "0"), one)
-        if any(a is None for a in args):
-            raise TermError(f"{t.kind} needs an index outside the subscript")
-    x, y, z = args
-    return Q(x, t_branches(n, t.d, y, z))
+def elaborate(t: Term, n: int, memo: Optional[dict] = None,
+              keep: Optional[set] = None) -> Term:
+    """Rewrite T/Bin nodes into their defining Q form.
+
+    A node shared in t is rewritten once, so the result shares it too, as
+    do the y and z that t_branches repeats; memo and keep are fold's.
+    """
+    def kids(s):
+        if isinstance(s, (Var, Const)):
+            return ()
+        if isinstance(s, Bin) and not s.d:
+            raise TermError("empty subscript")
+        if not isinstance(s, (Q, T)) and not (isinstance(s, Bin) and s.kind in BINARY):
+            raise TermError(f"unknown node {s!r}")
+        return children(s)
+
+    def rewrite(s, args):
+        if isinstance(s, (Var, Const)):
+            return s
+        if isinstance(s, Q):
+            return Q(args[0], tuple(args[1:]))
+        if isinstance(s, Bin):
+            outside = set(range(1, n + 1)) - s.d
+            one = Const(min(outside), "e") if outside else None  # 1_j, j smallest outside d
+            args = BINARY[s.kind](*args, Const(min(s.d), "0"), one)
+            if any(a is None for a in args):
+                raise TermError(f"{s.kind} needs an index outside the subscript")
+        x, y, z = args
+        return Q(x, t_branches(n, s.d, y, z))
+
+    return fold(t, kids, rewrite, memo, keep)
 
 
 # -- evaluation ---------------------------------------------------------
@@ -285,16 +384,30 @@ def eval_term(t: Term, env: dict, alg) -> tuple:
     return evaluate(op_term(elaborate(t, alg.n), alg.n), env, ops)
 
 
-def evaluate(t, env: dict, ops: dict):
-    """Evaluate an operation term: a name (env, then ops) or a tuple (op, *args)."""
-    if isinstance(t, str):
-        if t in env:
-            return env[t]
-        if t in ops:
-            return ops[t]
-        raise TermError(f"unbound variable {t!r}")
-    op, args = ops[t[0]], [evaluate(a, env, ops) for a in t[1:]]
-    return op[tuple(args)] if isinstance(op, np.ndarray) else op(*args)
+def op_kids(t) -> tuple:
+    """The arguments of an operation term: none for a name."""
+    return () if isinstance(t, str) else t[1:]
+
+
+def evaluate(t, env: dict, ops: dict, memo: Optional[dict] = None, keep: Optional[set] = None):
+    """Evaluate an operation term: a name (env, then ops) or a tuple (op, *args).
+
+    Each distinct node is evaluated once (fold), and each value that no
+    other node needs is freed after use.  To evaluate several terms under
+    the same env and ops, pass them one memo, never shared across envs,
+    and shared_nodes(terms, op_kids) as keep.
+    """
+    def value(s, args):
+        if not isinstance(s, str):
+            op = ops[s[0]]
+            return op[tuple(args)] if isinstance(op, np.ndarray) else op(*args)
+        if s in env:
+            return env[s]
+        if s in ops:
+            return ops[s]
+        raise TermError(f"unbound variable {s!r}")
+
+    return fold(t, op_kids, value, memo, keep)
 
 
 def q_ops(alg) -> dict:
@@ -304,15 +417,26 @@ def q_ops(alg) -> dict:
     return ops
 
 
-def op_term(t: Term, n: int):
-    """An elaborated q-signature term as an operation term over q_ops."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return f"e{t.k}"
-    if len(t.branches) != n:
-        raise TermError(f"q node has {len(t.branches)} branches, expected {n}")
-    return ("q", *(op_term(s, n) for s in children(t)))
+def op_term(t: Term, n: int, memo: Optional[dict] = None, keep: Optional[set] = None):
+    """An elaborated q-signature term as an operation term over q_ops; shared nodes
+    stay shared.  memo and keep are fold's."""
+    def kids(s):
+        if isinstance(s, Q):
+            if len(s.branches) != n:
+                raise TermError(f"q node has {len(s.branches)} branches, expected {n}")
+            return (s.scrutinee, *s.branches)
+        if not isinstance(s, (Var, Const)):
+            raise TermError(f"{type(s).__name__} node in a term that is not elaborated")
+        return ()
+
+    def build(s, args):
+        if isinstance(s, Var):
+            return s.name
+        if isinstance(s, Const):
+            return f"e{s.k}"
+        return ("q", *args)
+
+    return fold(t, kids, build, memo, keep)
 
 
 def eval_vec(t: Term, env: dict, alg):
@@ -410,13 +534,18 @@ def check_identity(
     Valid verdicts are only probabilistic, sampled counterexamples exact.
     """
     ops = q_ops(generator(n))
-    left, right = (op_term(elaborate(t, n), n) for t in (lhs, rhs))
+    # each walk folds both sides into one memo, so a node in both is built once
+    rewritten, keep = {}, shared_nodes((lhs, rhs))
+    sides = [elaborate(t, n, rewritten, keep) for t in (lhs, rhs)]
+    built, keep = {}, shared_nodes(sides)
+    left, right = (op_term(t, n, built, keep) for t in sides)
+    keep = shared_nodes((left, right), op_kids)
     names = list(dict.fromkeys(free_vars(lhs) + free_vars(rhs)))
     drawn = {"samples": samples, "seed": seed} if mode == "sampled" else {}
 
     def differ(chunk):
-        env = dict(zip(names, chunk))
-        return evaluate(left, env, ops) != evaluate(right, env, ops)
+        env, memo = dict(zip(names, chunk)), {}
+        return evaluate(left, env, ops, memo, keep) != evaluate(right, env, ops, memo, keep)
 
     wit, _ = first_witness(len(names), n, mode, budget, samples, seed, differ)
     if wit is None:

@@ -156,15 +156,17 @@ def to_star(t: Term, n: int) -> Term:
     """Rewrite onto the skew-star signature (t_i with singleton i, 0_i).
 
     Q nodes become the nested selector chain with t_1 outermost (terms.star_chain).
+    The walk is terms.fold over the elaborated term, so shared nodes stay shared.
     """
-    if isinstance(t, terms.Var):
-        return t
-    if isinstance(t, Const):
-        return Const(t.k, "0")
-    if isinstance(t, (T, Bin)):
-        return to_star(terms.elaborate(t, n), n)
-    x, *ys = (to_star(s, n) for s in terms.children(t))
-    return terms.star_chain(lambda s, x, a, b: T(frozenset({s}), x, a, b), x, ys)
+    def star(s, args):
+        if isinstance(s, terms.Var):
+            return s
+        if isinstance(s, Const):
+            return Const(s.k, "0")
+        x, *ys = args
+        return terms.star_chain(lambda k, x, a, b: T(frozenset({k}), x, a, b), x, ys)
+
+    return terms.fold(terms.elaborate(t, n), terms.children, star)
 
 
 def to_skew(t: Term, n: int, i: int) -> Term:
@@ -174,22 +176,29 @@ def to_skew(t: Term, n: int, i: int) -> Term:
     dictionary; only the index family i is admitted.
     """
     fam = frozenset({i})
-    if isinstance(t, terms.Var):
-        return t
-    if isinstance(t, Const):
-        if t.k != i:
+
+    def kids(s):
+        if isinstance(s, Const) and s.k != i:
             raise TermError(f"constant outside the index-{i} family")
-        return Const(i, "0")
-    if isinstance(t, T):
-        if t.d != fam:
-            raise TermError(f"t subscript {sorted(t.d)} outside the index-{i} family")
-        x, y, z = (to_skew(s, n, i) for s in (t.x, t.y, t.z))
-        return Bin("bv", fam, Bin("and", fam, x, y), Bin("sub", fam, z, x))
-    if isinstance(t, Bin):
-        if t.d != fam or t.kind in ("or", "bw"):
+        if isinstance(s, T) and s.d != fam:
+            raise TermError(f"t subscript {sorted(s.d)} outside the index-{i} family")
+        if isinstance(s, Bin) and (s.d != fam or s.kind in ("or", "bw")):
             raise TermError("operation outside the skew signature for this family")
-        return Bin(t.kind, fam, to_skew(t.lhs, n, i), to_skew(t.rhs, n, i))
-    raise TermError("q nodes are not in the scope of the skew translation")
+        if not isinstance(s, (terms.Var, Const, T, Bin)):
+            raise TermError("q nodes are not in the scope of the skew translation")
+        return terms.children(s)
+
+    def skew(s, args):
+        if isinstance(s, terms.Var):
+            return s
+        if isinstance(s, Const):
+            return Const(i, "0")
+        if isinstance(s, T):
+            x, y, z = args
+            return Bin("bv", fam, Bin("and", fam, x, y), Bin("sub", fam, z, x))
+        return Bin(s.kind, fam, *args)
+
+    return terms.fold(t, kids, skew)
 
 
 def translate_term(t: Term, target: str, n: int, i: int = 1) -> Term:

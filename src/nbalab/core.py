@@ -77,7 +77,7 @@ class PowerAlgebra:
 
     @property
     def size(self) -> int:
-        return len(self.elements())
+        return self.n**self.points if self.carrier is None else len(self.carrier)
 
     def elements(self) -> tuple:
         if self.carrier is not None:

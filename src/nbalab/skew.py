@@ -4,10 +4,11 @@ An axiom is a row (name, variables, lhs, rhs) whose sides are operation
 terms: a name, or a tuple (op, *args).  A suite binds its rows to one
 ops dict of named tables and constants, e.g. {"meet": sk.meet, "0":
 sk.zero} for the skew suites, or terms.q_ops(alg) (q and e1..en) for the
-nBA axioms; terms.evaluate computes both sides over arrays of carrier
-indices, and constants broadcast as scalars.  Pinning a variable to an
-element (_pin) moves it from the variables into ops: that is how the
-factor and semicentral checks of an element reuse the suites' rows.
+nBA axioms.  An axiom lowers its sides once (terms.lower), and terms.run
+computes them over arrays of carrier indices; constants broadcast as
+scalars.  Pinning a variable to an element (_pin) moves it from the
+variables into ops: that is how the factor and semicentral checks of an
+element reuse the suites' rows, each pinned copy with its own program.
 
 Audits evaluate identities over all assignments of carrier elements
 (vectorised), falling back to deterministic sampling past a budget.
@@ -22,21 +23,28 @@ inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import terms
 from .core import PowerAlgebra, TableAlgebra, element_index
-from .terms import (BINARY, DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, evaluate,
-                    first_witness, op_kids, q_ops, shared_nodes, star_chain, t_branches)
+from .terms import (BINARY, DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, first_witness, q_ops,
+                    star_chain, t_branches)
 from .transforms import CenterParams
 
 
 # -- table carriers for the reducts --------------------------------------
 
 
+class _Labelled:
+    def element_label(self, a: int) -> str:
+        return self.labels[a]
+
+
 @dataclass(frozen=True)
-class SkewTable:
+class SkewTable(_Labelled):
     """A (meet, join, minus, 0) table algebra; join is the double-bar join.
 
     A skew i-reduct carries q3 = t_i and is the right Church i-reduct (A, t_i, 0_i) too.
@@ -51,12 +59,9 @@ class SkewTable:
     q3: Optional[np.ndarray] = None  # ternary selector, when available
     index: Optional[int] = None  # i of a skew i-reduct, when applicable
 
-    def element_label(self, a: int) -> str:
-        return self.labels[a]
-
 
 @dataclass(frozen=True)
-class ChurchTable:
+class ChurchTable(_Labelled):
     """(A, t_d, 0_i, 1_j)."""
 
     size: int
@@ -66,12 +71,9 @@ class ChurchTable:
     labels: tuple
     d: Optional[frozenset] = None
 
-    def element_label(self, a: int) -> str:
-        return self.labels[a]
-
 
 @dataclass(frozen=True)
-class StarTable:
+class StarTable(_Labelled):
     """(A, t_1..t_n, 0_1..0_n): a candidate skew star algebra."""
 
     n: int
@@ -80,12 +82,9 @@ class StarTable:
     zeros: tuple  # n carrier indices
     labels: tuple
 
-    def element_label(self, a: int) -> str:
-        return self.labels[a]
-
 
 @dataclass(frozen=True)
-class BoolTable:
+class BoolTable(_Labelled):
     """A candidate Boolean algebra (meet, join, neg, 0, 1) on indices."""
 
     size: int
@@ -95,9 +94,6 @@ class BoolTable:
     zero: int
     one: int
     labels: tuple
-
-    def element_label(self, a: int) -> str:
-        return self.labels[a]
 
 
 def _label_tuple(alg) -> tuple:
@@ -166,10 +162,12 @@ class Axiom:
     rhs: object
     ops: dict = field(compare=False, repr=False)
 
+    @cached_property
+    def program(self) -> terms.Program:
+        return terms.lower((self.lhs, self.rhs))
+
     def check(self, env: dict) -> tuple:
-        memo = {}  # for this env only: a node in both sides is evaluated once
-        keep = shared_nodes((self.lhs, self.rhs), op_kids)
-        return tuple(evaluate(side, env, self.ops, memo, keep) for side in (self.lhs, self.rhs))
+        return terms.run(self.program, env, self.ops)
 
 
 def _axioms(ops: dict, rows) -> list:
@@ -212,10 +210,7 @@ class AxiomReport:
         return any(a.mode == "sampled" for a in self.axioms)
 
     def first_failure(self) -> Optional[AxiomOutcome]:
-        for a in self.axioms:
-            if not a.ok:
-                return a
-        return None
+        return next((a for a in self.axioms if not a.ok), None)
 
     def to_json(self) -> dict:
         out = {

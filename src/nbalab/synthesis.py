@@ -89,25 +89,41 @@ def _rule_at(t: Term, n: int) -> Optional[tuple]:
     return None
 
 
-def _simplify(t: Term, n: int, pos: tuple, trace: list) -> Term:
-    if isinstance(t, Q):
-        scr, *branches = (_simplify(s, n, pos + (c,), trace) for c, s in enumerate(children(t)))
-        t = Q(scr, tuple(branches))
+def _simplify(t: Term, n: int, trace: list) -> Term:
+    """The normal form of t, walked as a tree with its own stack.
+
+    Each position is normalised after its children, left to right, so a
+    shared subterm is rewritten and traced at every position it occupies.
+    A reduct is one of the normalised children, so each node takes at most
+    one rule.
+    """
+    path = []  # child offsets from the root to the node on top of the stack
+    stack = [(t, children(t), [])]  # (node, its children, those normalised so far)
     while True:
-        hit = _rule_at(t, n)
-        if hit is None:
-            return t
-        rule, t = hit
-        trace.append(RewriteStep(rule, pos))
-        # the reduct may expose a fresh redex below; renormalise it
-        t = _simplify(t, n, pos, trace)
+        node, kids, done = stack[-1]
+        if len(done) < len(kids):
+            path.append(len(done))
+            c = kids[len(done)]
+            stack.append((c, children(c), []))
+            continue
+        stack.pop()
+        if kids:
+            node = Q(done[0], tuple(done[1:]))
+        hit = _rule_at(node, n)
+        if hit is not None:
+            rule, node = hit
+            trace.append(RewriteStep(rule, tuple(path)))
+        if not stack:
+            return node
+        stack[-1][2].append(node)
+        path.pop()
 
 
 def simplify(t: Term, n: int) -> tuple:
     """Returns (normal form, trace); only q-signature terms are accepted."""
     _check_q_signature(t)
     trace: list = []
-    out = _simplify(t, n, (), trace)
+    out = _simplify(t, n, trace)
     return out, tuple(trace)
 
 

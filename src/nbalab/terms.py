@@ -13,19 +13,16 @@ selector.  Subscripts are subsets of 1..n.
 The derived operations are defined once, here, for terms and tables alike:
 t_branches (the branches of t_d), BINARY (each binary operation as t_d) and
 star_chain (q in the skew-star signature).  children and subterms walk terms;
-fold is the one post-order walk that the rewriting, printing and evaluating
-functions run on.  It combines each distinct node, by identity, once, so the
-terms that t_branches and star_chain build, which repeat one subterm object
-under several parents, cost their distinct nodes and not their trees, and
-it keeps its own stack, so none of them recurses once per nesting level.
+fold is the one post-order walk that the rewriting and printing functions
+run on.  It combines each distinct node, by identity, once, so the terms
+that t_branches and star_chain build, which repeat one subterm object under
+several parents, cost their distinct nodes and not their trees, and it
+keeps its own stack, so none of them recurses once per nesting level.
 
-Every evaluation, here and in the axiom audits of nbalab.skew, runs on
-operation terms: a name, or a tuple (op, *args).  evaluate(t, env, ops)
-looks a name up in env (the variables) and then in ops (constants, as
-scalars that broadcast), and applies ops[op] by indexing a table or by
-calling a function.  eval_term and eval_vec elaborate a parsed term into
-this form over q and e1..en.  first_witness streams the assignments of a
-check in chunks and stops at the first row where the two sides differ.
+Every evaluation, here and in the axiom audits of nbalab.skew, lowers its
+terms once into a straight-line Program and runs it on each chunk of
+assignments; first_witness streams the chunks of a check and stops at the
+first row where the two sides differ.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -211,17 +208,11 @@ class _Parser:
     def error(self, msg: str):
         raise TermError(f"{msg} at position {self.pos} in {self.text!r}")
 
-    def peek(self):
+    def next_token(self):
         m = _TOKEN.match(self.text, self.pos)
         if m is None:
-            return None, self.pos
-        return m, m.end()
-
-    def next_token(self):
-        m, end = self.peek()
-        if m is None:
             self.error("unexpected character" if self.pos < len(self.text) else "unexpected end")
-        self.pos = end
+        self.pos = m.end()
         return m
 
     def expect(self, sym: str):
@@ -337,51 +328,51 @@ def free_vars(t: Term) -> list:
     return list(dict.fromkeys(s.name for s in subterms(t) if isinstance(s, Var)))
 
 
-# -- elaboration of derived operators to q ------------------------------
+# -- elaboration to q, and lowering to a straight-line program ----------
 
 
-def elaborate(t: Term, n: int, memo: Optional[dict] = None,
-              keep: Optional[set] = None) -> Term:
+def _checked_children(s, n: int) -> tuple:
+    """children(s); TermError for a q node without n branches or a node outside the grammar."""
+    if isinstance(s, (Var, Const)):
+        return ()
+    if isinstance(s, Q) and len(s.branches) != n:
+        raise TermError(f"q node has {len(s.branches)} branches, expected {n}")
+    if isinstance(s, Bin) and not s.d:
+        raise TermError("empty subscript")
+    if not isinstance(s, (Q, T)) and not (isinstance(s, Bin) and s.kind in BINARY):
+        raise TermError(f"unknown node {s!r}")
+    return children(s)
+
+
+def _q_form(s, n: int, args, const) -> tuple:
+    """(scrutinee, branches) of the q node that defines the Q, T or Bin node s, whose
+    children stand as args; const(k, style) stands for the constant e_k (or 0_k)."""
+    if isinstance(s, Q):
+        return args[0], tuple(args[1:])
+    if isinstance(s, Bin):
+        outside = set(range(1, n + 1)) - s.d
+        one = const(min(outside), "e") if outside else None  # 1_j, j smallest outside d
+        args = BINARY[s.kind](*args, const(min(s.d), "0"), one)
+        if any(a is None for a in args):
+            raise TermError(f"{s.kind} needs an index outside the subscript")
+    x, y, z = args
+    return x, t_branches(n, s.d, y, z)
+
+
+def elaborate(t: Term, n: int) -> Term:
     """Rewrite T/Bin nodes into their defining Q form.
 
     A node shared in t is rewritten once, so the result shares it too, as
-    do the y and z that t_branches repeats; memo and keep are fold's.
+    do the y and z that t_branches repeats.
     """
-    def kids(s):
-        if isinstance(s, (Var, Const)):
-            return ()
-        if isinstance(s, Bin) and not s.d:
-            raise TermError("empty subscript")
-        if not isinstance(s, (Q, T)) and not (isinstance(s, Bin) and s.kind in BINARY):
-            raise TermError(f"unknown node {s!r}")
-        return children(s)
-
-    def rewrite(s, args):
-        if isinstance(s, (Var, Const)):
-            return s
-        if isinstance(s, Q):
-            return Q(args[0], tuple(args[1:]))
-        if isinstance(s, Bin):
-            outside = set(range(1, n + 1)) - s.d
-            one = Const(min(outside), "e") if outside else None  # 1_j, j smallest outside d
-            args = BINARY[s.kind](*args, Const(min(s.d), "0"), one)
-            if any(a is None for a in args):
-                raise TermError(f"{s.kind} needs an index outside the subscript")
-        x, y, z = args
-        return Q(x, t_branches(n, s.d, y, z))
-
-    return fold(t, kids, rewrite, memo, keep)
+    rewrite = lambda s, args: s if isinstance(s, (Var, Const)) else Q(*_q_form(s, n, args, Const))
+    return fold(t, lambda s: _checked_children(s, n), rewrite)
 
 
-# -- evaluation ---------------------------------------------------------
-
-
-def eval_term(t: Term, env: dict, alg) -> tuple:
-    """Evaluate a term in a power algebra; env maps names to Elements."""
-    ops = {f"e{k}": alg.constant(k) for k in range(1, alg.n + 1)}
-    ops["q"] = lambda s, *ys: alg.q(s, ys)
-    env = {name: tuple(v) for name, v in env.items()}
-    return evaluate(op_term(elaborate(t, alg.n), alg.n), env, ops)
+class Program(NamedTuple):
+    """Steps (op, args, dead), run in order, each making one value; the steps of the roots."""
+    steps: tuple
+    roots: tuple
 
 
 def op_kids(t) -> tuple:
@@ -389,25 +380,63 @@ def op_kids(t) -> tuple:
     return () if isinstance(t, str) else t[1:]
 
 
-def evaluate(t, env: dict, ops: dict, memo: Optional[dict] = None, keep: Optional[set] = None):
-    """Evaluate an operation term: a name (env, then ops) or a tuple (op, *args).
+def lower(roots, n: Optional[int] = None) -> Program:
+    """The program of roots: terms at dimension n, or operation terms (a name, or a
+    tuple (op, *args)) when n is None.
 
-    Each distinct node is evaluated once (fold), and each value that no
-    other node needs is freed after use.  To evaluate several terms under
-    the same env and ops, pass them one memo, never shared across envs,
-    and shared_nodes(terms, op_kids) as keep.
+    One fold over the distinct nodes of all roots, by identity, makes one step
+    of each.  A variable or constant is a name step (args None), one per name;
+    a Q, T or Bin node is one q step, and a tuple one step of its op, whose
+    args are the steps of its arguments.  dead lists the steps whose values
+    the step reads last, other than the roots.
     """
-    def value(s, args):
-        if not isinstance(s, str):
-            op = ops[s[0]]
-            return op[tuple(args)] if isinstance(op, np.ndarray) else op(*args)
-        if s in env:
-            return env[s]
-        if s in ops:
-            return ops[s]
-        raise TermError(f"unbound variable {s!r}")
+    roots, steps, names = tuple(roots), [], {}
 
-    return fold(t, op_kids, value, memo, keep)
+    def name(s):
+        if s not in names:
+            names[s] = len(steps)
+            steps.append((s, None, []))
+        return names[s]
+
+    def step(s, args):
+        if isinstance(s, (str, Var, Const)):
+            return name(s if isinstance(s, str) else s.name if isinstance(s, Var) else f"e{s.k}")
+        if n is None:
+            steps.append((s[0], tuple(args), []))
+        else:
+            x, branches = _q_form(s, n, args, lambda k, style: name(f"e{k}"))
+            steps.append(("q", (x, *branches), []))
+        return len(steps) - 1
+
+    kids = op_kids if n is None else lambda s: _checked_children(s, n)
+    memo, keep = {}, shared_nodes(roots, kids)
+    outs = tuple(fold(t, kids, step, memo, keep) for t in roots)
+    read = set(outs)
+    for _, args, dead in reversed(steps):  # walking back, the first read of a step is its last
+        dead += [a for a in dict.fromkeys(args or ()) if a not in read]
+        read.update(dead)
+    return Program(tuple(steps), outs)
+
+
+def run(program: Program, env: dict, ops: dict) -> tuple:
+    """The values of program's roots, freeing each other value after its last read.
+
+    A name is looked up in env (the variables), then in ops (constants, as
+    scalars that broadcast); ops[op] applies by indexing a table or by calling.
+    """
+    vals = []
+    for op, args, dead in program.steps:
+        if args is not None:
+            f, xs = ops[op], [vals[a] for a in args]
+            vals.append(f[tuple(xs)] if isinstance(f, np.ndarray) else f(*xs))
+            xs = None  # hold no argument past its last read
+        elif op in env or op in ops:
+            vals.append(env[op] if op in env else ops[op])
+        else:
+            raise TermError(f"unbound variable {op!r}")
+        for a in dead:
+            vals[a] = None
+    return tuple(vals[r] for r in program.roots)
 
 
 def q_ops(alg) -> dict:
@@ -417,34 +446,16 @@ def q_ops(alg) -> dict:
     return ops
 
 
-def op_term(t: Term, n: int, memo: Optional[dict] = None, keep: Optional[set] = None):
-    """An elaborated q-signature term as an operation term over q_ops; shared nodes
-    stay shared.  memo and keep are fold's."""
-    def kids(s):
-        if isinstance(s, Q):
-            if len(s.branches) != n:
-                raise TermError(f"q node has {len(s.branches)} branches, expected {n}")
-            return (s.scrutinee, *s.branches)
-        if not isinstance(s, (Var, Const)):
-            raise TermError(f"{type(s).__name__} node in a term that is not elaborated")
-        return ()
-
-    def build(s, args):
-        if isinstance(s, Var):
-            return s.name
-        if isinstance(s, Const):
-            return f"e{s.k}"
-        return ("q", *args)
-
-    return fold(t, kids, build, memo, keep)
+def eval_term(t: Term, env: dict, alg) -> tuple:
+    """Evaluate a term in a power algebra; env maps names to Elements."""
+    ops = {f"e{k}": c for k, c in enumerate(alg.constants, 1)} | {"q": lambda s, *ys: alg.q(s, ys)}
+    return run(lower([t], alg.n), {name: tuple(v) for name, v in env.items()}, ops)[0]
 
 
 def eval_vec(t: Term, env: dict, alg):
-    """Evaluate over arrays of carrier indices (env: name -> index array).
-
-    Constants evaluate to scalars, which broadcast against the arrays.
-    """
-    return evaluate(op_term(elaborate(t, alg.n), alg.n), env, q_ops(alg))
+    """Evaluate over arrays of carrier indices (env: name -> index array); constants
+    evaluate to scalars, which broadcast against the arrays."""
+    return run(lower([t], alg.n), env, q_ops(alg))[0]
 
 
 # -- identity checking against the n-element generator -------------------
@@ -533,19 +544,13 @@ def check_identity(
     Exhaustive verdicts are sound and complete for the variety; sampled
     Valid verdicts are only probabilistic, sampled counterexamples exact.
     """
-    ops = q_ops(generator(n))
-    # each walk folds both sides into one memo, so a node in both is built once
-    rewritten, keep = {}, shared_nodes((lhs, rhs))
-    sides = [elaborate(t, n, rewritten, keep) for t in (lhs, rhs)]
-    built, keep = {}, shared_nodes(sides)
-    left, right = (op_term(t, n, built, keep) for t in sides)
-    keep = shared_nodes((left, right), op_kids)
+    ops, program = q_ops(generator(n)), lower((lhs, rhs), n)
     names = list(dict.fromkeys(free_vars(lhs) + free_vars(rhs)))
     drawn = {"samples": samples, "seed": seed} if mode == "sampled" else {}
 
     def differ(chunk):
-        env, memo = dict(zip(names, chunk)), {}
-        return evaluate(left, env, ops, memo, keep) != evaluate(right, env, ops, memo, keep)
+        left, right = run(program, dict(zip(names, chunk)), ops)
+        return left != right
 
     wit, _ = first_witness(len(names), n, mode, budget, samples, seed, differ)
     if wit is None:

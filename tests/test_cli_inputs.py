@@ -15,6 +15,7 @@ T22 = core.table_of_power(core.power_algebra(2, 2)).to_json()  # constants [0, 3
 P22 = {"n": 2, "kind": "power", "points": 2}
 P23 = {"n": 2, "kind": "power", "points": 3}
 P32 = {"n": 3, "kind": "power", "points": 2}
+P2_40 = {"n": 2, "kind": "power", "points": 40}
 
 
 def with_q(pos, value):
@@ -127,6 +128,11 @@ CASES = [
      "index 7 out of 1..3"),
     ("skew translation of t[1] with i outside 1..n", None,
      translate("3", "t[1](x,y,z)", "skew", "--i", "7"), 1, "index 7 out of 1..3"),
+    # a full power's size is n**points: the bound answers before any element is built
+    ("congruences of 2^40", P2_40, ["congruences", "--algebra", "in.json"], 1,
+     "carrier size 1099511627776 exceeds bound 64"),
+    ("multideals of 2^40", P2_40, ["multideals", "--algebra", "in.json"], 1,
+     "carrier size 1099511627776 exceeds bound 64"),
 ]
 
 

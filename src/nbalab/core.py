@@ -21,6 +21,9 @@ Element = tuple  # tuple of ints in 1..n
 # from (2^5, 3^2 and the generators up to n = 5); larger ones run the digit kernel
 GATHER_TABLE_MAX = 1 << 16
 
+# the most entries a dense table over a carrier may have: 2^8's t table, 256^3
+TABLE_BOUND = 1 << 24
+
 
 class DimensionError(ValueError):
     pass
@@ -28,6 +31,13 @@ class DimensionError(ValueError):
 
 class ShapeError(ValueError):
     pass
+
+
+def check_table_bound(what: str, size: int, entries: int) -> None:
+    """ValueError naming the carrier size and TABLE_BOUND if a dense table is too big."""
+    if entries > TABLE_BOUND:
+        raise ValueError(f"{what} over carrier size {size} needs {entries} entries, "
+                         f"exceeding bound {TABLE_BOUND}")
 
 
 def _check_dim(n: int) -> int:
@@ -84,6 +94,7 @@ class PowerAlgebra:
             return self.carrier
         full = self._cache.get("full")
         if full is None:
+            check_table_bound("the element list", self.size, self.size * self.points)
             full = tuple(itertools.product(range(1, self.n + 1), repeat=self.points))
             self._cache["full"] = full
         return full
@@ -154,6 +165,7 @@ class PowerAlgebra:
         """Dense (size,)*(n+1) table of q over carrier indices; ShapeError if not closed."""
         tab = self._cache.get("qtab")
         if tab is None:
+            check_table_bound("the q table", self.size, self.size ** (self.n + 1))
             # the carrier is sorted, so its codes are too
             vals = np.array(self.elements(), dtype=np.int64).reshape(self.size, self.points)
             codes = (vals - 1) @ (self.n ** np.arange(self.points - 1, -1, -1, dtype=np.int64))

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import terms
-from .core import PowerAlgebra, TableAlgebra, element_index
+from .core import PowerAlgebra, TableAlgebra, check_table_bound, element_index
 from .terms import (BINARY, DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, first_witness, q_ops,
                     star_chain, t_branches)
 from .transforms import CenterParams
@@ -102,6 +102,7 @@ def _label_tuple(alg) -> tuple:
 
 def _t_table(alg, d: frozenset) -> np.ndarray:
     """Dense table of t_d over carrier indices of a q-algebra."""
+    check_table_bound("a t table", alg.size, alg.size**3)
     x, y, z = np.ix_(*[range(alg.size)] * 3)
     return alg.q_vec(x, t_branches(alg.n, d, y, z))
 

@@ -16,6 +16,8 @@ P22 = {"n": 2, "kind": "power", "points": 2}
 P23 = {"n": 2, "kind": "power", "points": 3}
 P32 = {"n": 3, "kind": "power", "points": 2}
 P2_40 = {"n": 2, "kind": "power", "points": 40}
+P2_10 = {"n": 2, "kind": "power", "points": 10}
+P3_5 = {"n": 3, "kind": "power", "points": 5}
 
 
 def with_q(pos, value):
@@ -26,6 +28,10 @@ def with_q(pos, value):
 
 def check(name):
     return ["check", "--algebra", name, "--suite", "nba"]
+
+
+def past_bound(table, size, entries):
+    return f"{table} over carrier size {size} needs {entries} entries, exceeding bound {1 << 24}"
 
 
 def validate(name):
@@ -133,6 +139,29 @@ CASES = [
      "carrier size 1099511627776 exceeds bound 64"),
     ("multideals of 2^40", P2_40, ["multideals", "--algebra", "in.json"], 1,
      "carrier size 1099511627776 exceeds bound 64"),
+    # a dense table past core.TABLE_BOUND entries is refused before it is allocated
+    ("nba check of 2^40", P2_40, check("in.json"), 1,
+     past_bound("the element list", 2**40, 40 * 2**40)),
+    ("skewba check of 2^40", P2_40, ["check", "--algebra", "in.json", "--suite", "skewba"], 1,
+     past_bound("a t table", 2**40, 2**120)),
+    ("ultras of 2^40", P2_40, ["ultras", "--algebra", "in.json"], 1,
+     past_bound("a t table", 2**40, 2**120)),
+    ("embed of 2^40", P2_40, ["embed", "--algebra", "in.json"], 1,
+     past_bound("a t table", 2**40, 2**120)),
+    ("reduct of 2^40", P2_40, ["reduct", "--algebra", "in.json", "--kind", "skew", "--i", "1"],
+     1, past_bound("a t table", 2**40, 2**120)),
+    ("ultras of 3^5", P3_5, ["ultras", "--algebra", "in.json"], 1,
+     past_bound("the q table", 243, 243**4)),
+    ("embed of 3^5", P3_5, ["embed", "--algebra", "in.json"], 1,
+     past_bound("the q table", 243, 243**4)),
+    ("reduct of 2^10", P2_10, ["reduct", "--algebra", "in.json", "--kind", "skew", "--i", "1"],
+     1, past_bound("a t table", 1024, 1024**3)),
+    ("skewba check of 2^10", P2_10, ["check", "--algebra", "in.json", "--suite", "skewba"], 1,
+     past_bound("a t table", 1024, 1024**3)),
+    ("ultras of 2^10", P2_10, ["ultras", "--algebra", "in.json"], 1,
+     past_bound("a t table", 1024, 1024**3)),
+    ("embed of 2^10", P2_10, ["embed", "--algebra", "in.json"], 1,
+     past_bound("a t table", 1024, 1024**3)),
 ]
 
 

@@ -100,6 +100,16 @@ def _label_tuple(alg) -> tuple:
     return tuple(alg.element_label(i) for i in range(alg.size))
 
 
+@dataclass(frozen=True)
+class _Labels:
+    """labels[a] is alg.element_label(a), made when read: only a counterexample's are."""
+
+    alg: object
+
+    def __getitem__(self, a: int) -> str:
+        return self.alg.element_label(a)
+
+
 def _t_table(alg, d: frozenset) -> np.ndarray:
     """Dense table of t_d over carrier indices of a q-algebra."""
     check_table_bound("a t table", alg.size, alg.size**3)
@@ -400,7 +410,7 @@ def check_axioms(obj, suite: str, budget=DEFAULT_BUDGET, samples=DEFAULT_SAMPLES
     types, needs, build = SUITES[suite]
     if not isinstance(obj, types):
         raise TypeError(f"{suite} suite needs {needs}")
-    return run_suite(suite, build(obj), obj.size, _label_tuple(obj), budget, samples, seed)
+    return run_suite(suite, build(obj), obj.size, _Labels(obj), budget, samples, seed)
 
 
 # -- skew-lattice relations -------------------------------------------------
@@ -490,7 +500,7 @@ def is_element_kind(alg, e, kind, i: int = None, budget=DEFAULT_BUDGET,
         axs = [_pin(nba_axioms(alg)[-1], "y", e)] + _factor_axioms(alg, e)
     else:
         raise ValueError(f"unknown element kind {kind!r}")
-    labels = _label_tuple(alg)
+    labels = _Labels(alg)
     return all(_run_axiom(ax, alg.size, labels, budget, samples, seed).ok for ax in axs)
 
 

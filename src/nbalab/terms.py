@@ -27,6 +27,7 @@ first row where the two sides differ.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -477,21 +478,44 @@ class BudgetExceeded(RuntimeError):
     """Raised when an exhaustive check would exceed the budget."""
 
 
+@functools.lru_cache(maxsize=1)
+def _stream(size: int, samples: int, seed: int) -> tuple:
+    """The generator of the one cached sample stream, and the arrays drawn from it."""
+    return np.random.default_rng(seed), []
+
+
+def seeded_draws(size: int, samples: int, seed: int, nvars: int) -> list:
+    """Array t is the t-th default_rng(seed).integers(0, size, samples) draw, t < nvars.
+
+    Drawn once per process, read-only, in the smallest unsigned dtype that
+    holds size - 1; fewer variables read a prefix of the same arrays.
+    """
+    rng, arrays = _stream(size, samples, seed)
+    while len(arrays) < nvars:
+        a = rng.integers(0, size, size=samples, dtype=np.int64).astype(np.min_scalar_type(size - 1))
+        a.flags.writeable = False
+        arrays.append(a)
+    return arrays[:nvars]
+
+
 def assignment_chunks(nvars: int, size: int, mode: str, budget: int, samples: int,
-                      seed: int) -> Iterator[list]:
+                      seed: int, grid: bool = False) -> Iterator[list]:
     """Assignments of nvars variables to range(size), in chunks of at most CHUNK rows.
 
     Each chunk is a list of nvars index arrays, row r of the chunk being one
     assignment.  Exhaustive mode enumerates all size**nvars assignments with
     variable 0 varying fastest, and raises BudgetExceeded if there are more
-    than budget; sampled mode draws samples seeded rows.  With no variables
-    there is one assignment, the empty one: one chunk of no arrays.
+    than budget; sampled mode reads samples seeded rows (seeded_draws).  With
+    no variables there is one assignment, the empty one: one chunk of no arrays.
+
+    With grid, an exhaustive chunk is an open grid instead: each fast
+    variable t an arange along axis -1-t, each slow one an int, so the
+    assignments are the broadcast rows in C order.
     """
     if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        arrays = [rng.integers(0, size, size=samples, dtype=np.int64) for _ in range(nvars)]
+        arrays = seeded_draws(size, samples, seed, nvars)
         for lo in range(0, samples, CHUNK) if arrays else [0]:
-            yield [a[lo:lo + CHUNK] for a in arrays]
+            yield [a[lo:lo + CHUNK].astype(np.int64) for a in arrays]
         return
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
@@ -505,6 +529,11 @@ def assignment_chunks(nvars: int, size: int, mode: str, budget: int, samples: in
     fast = 0
     while fast < nvars and size ** (fast + 1) <= CHUNK:
         fast += 1
+    if grid:
+        tile = [np.arange(size, dtype=np.int64).reshape((size,) + (1,) * t) for t in range(fast)]
+        for slow in itertools.product(range(size), repeat=nvars - fast):
+            yield tile + list(reversed(slow))
+        return
     rows = size**fast
     idx = np.arange(rows, dtype=np.int64)
     tile = [(idx // size**t) % size for t in range(fast)]
@@ -514,19 +543,19 @@ def assignment_chunks(nvars: int, size: int, mode: str, budget: int, samples: in
 
 def first_witness(nvars: int, size: int, mode: str, budget: int, samples: int,
                   seed: int, differ) -> tuple:
-    """Stream assignment_chunks until differ(chunk) flags a row.
+    """Stream the grid assignment_chunks until differ(chunk) flags a row.
 
     differ maps a chunk to a boolean array that broadcasts to its rows.
     Returns (the first flagged assignment as a list of indices, or None;
     the number of assignments evaluated).
     """
     count = 0
-    for chunk in assignment_chunks(nvars, size, mode, budget, samples, seed):
-        rows = len(chunk[0]) if chunk else 1
-        count += rows
-        bad = np.flatnonzero(np.broadcast_to(differ(chunk), rows))
+    for chunk in assignment_chunks(nvars, size, mode, budget, samples, seed, True):
+        shape = np.broadcast_shapes(*map(np.shape, chunk)) or (1,)  # a scalar chunk is one row
+        count += int(np.prod(shape))
+        bad = np.flatnonzero(np.broadcast_to(differ(chunk), shape))
         if bad.size:
-            return [int(a[bad[0]]) for a in chunk], count
+            return [int(np.broadcast_to(a, shape).flat[bad[0]]) for a in chunk], count
     return None, count
 
 

@@ -237,3 +237,17 @@ def test_factor_congruences_of_checks_its_element():
     for bad in (-1, 8):
         with pytest.raises(ValueError, match="out of 0..7"):
             factor_congruences_of(A23, bad, 1)
+
+
+def test_audits_label_only_their_counterexamples(monkeypatch):
+    calls = []
+    for cls in (core.PowerAlgebra, core.TableAlgebra):
+        label = cls.element_label
+        monkeypatch.setattr(cls, "element_label",
+                            lambda self, i, label=label: calls.append(i) or label(self, i))
+    A23 = core.power_algebra(2, 3)
+    assert check_axioms(A23, "NBA").ok and is_element_kind(A23, (1, 2, 1), "central")
+    assert calls == []
+    rep = check_axioms(core.table_of_power(A23).mutate((1, 0, 2), 3), "NBA")
+    failed = [a.counterexample for a in rep.axioms if not a.ok]
+    assert failed and len(calls) == sum(map(len, failed))

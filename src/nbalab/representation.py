@@ -1,22 +1,24 @@
 """Skew algebras of partial functions and their embedding into powers.
 
-A partial function on a finite point set X takes values in {1, 2}.  Each
-operation is a table on the one-point functions 0 (undefined), 1 and 2;
-the algebra of all 3^|X| of them is the |X|-th power of those tables.  The
-star map sends f to the n-partition (f^-1(1), f^-1(2), ..., X - dom(f) at
-slot i, ...) inside the skew i-reduct of the full power.
+A partial function on a finite point set X takes values in {1, 2}.  Read
+undefined, 1 and 2 as e_1, e_2 and e_3: the algebra of all 3^|X| of them is
+the skew 1-reduct of the full power 3^|X|, and on one point it is the skew
+1-reduct of the generator 3.  The star map sends f to the n-partition
+(f^-1(1), f^-1(2), ..., X - dom(f) at slot i, ...) inside the skew
+i-reduct of the full power n^|X|; it relabels each point e_1 -> e_i,
+e_2 -> e_1, e_3 -> e_2.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Element, power_algebra
-from .skew import SkewTable
-from .terms import BINARY, t_branches
+from .core import Element, generator, power_algebra
+from .skew import SkewTable, reduct
+from .terms import BINARY, SKEW_KINDS, t_branches
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,6 @@ class PartialFn:
     def label(self) -> str:
         return "{" + ",".join(f"{p}:{v}" for p, v in enumerate(self.values) if v) + "}"
 
-    def to_json(self) -> dict:
-        return {str(p): v for p, v in enumerate(self.values) if v}
-
 
 POINT_BOUND = 5  # 3^5 partial functions
 
@@ -57,10 +56,7 @@ def all_partial_fns(points: int) -> list:
             for vals in itertools.product((0, 1, 2), repeat=points)]
 
 
-MEET = np.array([[0, 0, 0], [0, 1, 2], [0, 1, 2]])
-JOIN = np.array([[0, 1, 2], [1, 1, 1], [2, 2, 2]])
-MINUS = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]])  # MINUS[g, f] = g \ f
-Q = np.array([[[0, 1, 2]] * 3] + [[[0] * 3, [1] * 3, [2] * 3]] * 2)
+_ONE_POINT = reduct(generator(3), "skew", 1)  # the operations on one point; q is q3 = t_1
 
 
 def _pointwise(table: np.ndarray, *fns: PartialFn) -> PartialFn:
@@ -69,38 +65,28 @@ def _pointwise(table: np.ndarray, *fns: PartialFn) -> PartialFn:
 
 def pf_meet(f: PartialFn, g: PartialFn) -> PartialFn:
     """f /\\ g = g restricted to dom(g) & dom(f)."""
-    return _pointwise(MEET, f, g)
+    return _pointwise(_ONE_POINT.meet, f, g)
 
 
 def pf_join(f: PartialFn, g: PartialFn) -> PartialFn:
     """f \\/ g = f together with g outside dom(f)."""
-    return _pointwise(JOIN, f, g)
+    return _pointwise(_ONE_POINT.join, f, g)
 
 
 def pf_minus(g: PartialFn, f: PartialFn) -> PartialFn:
     """g \\ f = g restricted outside dom(f)."""
-    return _pointwise(MINUS, g, f)
+    return _pointwise(_ONE_POINT.minus, g, f)
 
 
 def pf_q(f: PartialFn, g: PartialFn, h: PartialFn) -> PartialFn:
     """q(f,g,h) = g on dom(g) & dom(f), h on dom(h) - dom(f)."""
-    return _pointwise(Q, f, g, h)
-
-
-def _power(table: np.ndarray, points: int) -> np.ndarray:
-    """The points-th power of a one-point table on base-3 codes (point 0 leads)."""
-    codes = np.ix_(*[np.arange(3**points)] * table.ndim)
-    out = np.zeros((3**points,) * table.ndim, dtype=np.int64)
-    for p in range(points):  # one gather per point: the digit of weight 3^p
-        out += (table * 3**p)[tuple(c // 3**p % 3 for c in codes)]
-    return out
+    return _pointwise(_ONE_POINT.q3, f, g, h)
 
 
 def partial_fn_algebra(points: int) -> SkewTable:
     """The skew BA of all partial functions on a point set, with its q; index = code."""
     labels = tuple(f.label() for f in all_partial_fns(points))
-    meet, join, minus, q3 = (_power(t, points) for t in (MEET, JOIN, MINUS, Q))
-    return SkewTable(len(labels), meet, join, minus, 0, labels, q3=q3)
+    return replace(reduct(power_algebra(3, points), "skew", 1), labels=labels)
 
 
 def star_embed(f: PartialFn, n: int, i: int) -> Element:
@@ -119,6 +105,13 @@ class EmbeddingReport:
     failure: dict = None
 
 
+def _skew_ops(alg, i: int, codes: np.ndarray) -> np.ndarray:
+    """and, bv and sub of the full power alg's skew i-reduct on all pairs of codes, stacked last."""
+    zero = np.ravel_multi_index((i - 1,) * alg.points, (alg.n,) * alg.points)  # e_i
+    return np.stack([alg.q_vec(x, t_branches(alg.n, {i}, y, z)) for x, y, z in
+                     (BINARY[k](codes[:, None], codes, zero, None) for k in SKEW_KINDS)], -1)
+
+
 def verify_embedding(points: int, n: int, i: int) -> EmbeddingReport:
     """Check that * carries the three skew operations to the skew i-reduct."""
     fns = all_partial_fns(points)
@@ -127,17 +120,14 @@ def verify_embedding(points: int, n: int, i: int) -> EmbeddingReport:
     if alg.size >= 1 << 63:
         raise ValueError(f"the codes of {n}^{points} overflow 64 bits")
     img = np.ravel_multi_index(np.array(stars).T - 1, (n,) * points).reshape(-1)  # base-n codes
-    zero = np.ravel_multi_index((i - 1,) * points, (n,) * points)  # e_i
-    ops = {"meet": (MEET, "and"), "barvee": (JOIN, "bv"), "minus": (MINUS, "sub")}
-    pf = np.stack([_power(tab, points) for tab, _ in ops.values()], -1)
-    got = np.stack([alg.q_vec(x, t_branches(n, {i}, y, z)) for x, y, z in
-                    (BINARY[kind](img[:, None], img, zero, None) for _, kind in ops.values())], -1)
+    pf = _skew_ops(power_algebra(3, points), 1, np.arange(len(fns)))
+    got = _skew_ops(alg, i, img)
     bad = np.argwhere(img[pf] != got)  # the first is f slowest, then g, then the op
     injective = len(set(stars)) == len(fns)
     if not bad.size:
         return EmbeddingReport(injective, injective)
     a, b, k = bad[0]
     return EmbeddingReport(False, injective, {
-        "op": list(ops)[k], "f": fns[a].label(), "g": fns[b].label(),
+        "op": ("meet", "barvee", "minus")[k], "f": fns[a].label(), "g": fns[b].label(),
         "expected": stars[pf[a, b, k]],
         "got": tuple(int(v) + 1 for v in np.unravel_index(got[a, b, k], (n,) * points))})

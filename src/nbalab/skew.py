@@ -30,8 +30,8 @@ import numpy as np
 
 from . import terms
 from .core import PowerAlgebra, TableAlgebra, check_table_bound, element_index
-from .terms import (BINARY, DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, first_witness, q_ops,
-                    star_chain, t_branches)
+from .terms import (BINARY, DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, SKEW_KINDS,
+                    first_witness, q_ops, star_chain, t_branches)
 from .transforms import CenterParams
 
 
@@ -130,7 +130,7 @@ def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
         t = _t_table(alg, frozenset({i}))
         zero = alg.constant_index(i)
         a, b = np.ix_(range(alg.size), range(alg.size))
-        meet, join, minus = (t[BINARY[k](a, b, zero, None)] for k in ("and", "bv", "sub"))
+        meet, join, minus = (t[BINARY[k](a, b, zero, None)] for k in SKEW_KINDS)
         return SkewTable(alg.size, meet, join, minus, zero, _label_tuple(alg), q3=t, index=i)
     if kind == "church":
         dset = frozenset(d)

@@ -91,6 +91,7 @@ BINARY = {
     "bv": lambda x, y, zero, one: (x, x, y),  # x bv_d y = t_d(x, x, y)
 }
 BIN_KINDS = tuple(BINARY)
+SKEW_KINDS = ("and", "bv", "sub")  # meet, join and minus: the operations of a skew reduct
 
 
 def t_branches(n: int, d, y, z) -> tuple:

@@ -182,7 +182,7 @@ def to_skew(t: Term, n: int, i: int) -> Term:
             raise TermError(f"constant outside the index-{i} family")
         if isinstance(s, T) and s.d != fam:
             raise TermError(f"t subscript {sorted(s.d)} outside the index-{i} family")
-        if isinstance(s, Bin) and (s.d != fam or s.kind in ("or", "bw")):
+        if isinstance(s, Bin) and (s.d != fam or s.kind not in terms.SKEW_KINDS):
             raise TermError("operation outside the skew signature for this family")
         if not isinstance(s, (terms.Var, Const, T, Bin)):
             raise TermError("q nodes are not in the scope of the skew translation")

@@ -152,6 +152,19 @@ def test_translate_to_skew_rejects_foreign_material():
         translate_term(parse_term("or[1](x,y)", 3), "skew", 3, i=1)
 
 
+def test_to_skew_admits_exactly_the_skew_kinds():
+    fam = frozenset({1})
+    for kind in terms.BIN_KINDS:
+        t = terms.Bin(kind, fam, terms.Var("x"), terms.Var("y"))
+        if kind in terms.SKEW_KINDS:
+            assert translate_term(t, "skew", 3, i=1) == t
+        else:
+            with pytest.raises(terms.TermError, match="outside the skew signature"):
+                translate_term(t, "skew", 3, i=1)
+    with pytest.raises(terms.TermError, match="outside the skew signature"):  # hand-built
+        translate_term(terms.Bin("xor", fam, terms.Var("x"), terms.Var("y")), "skew", 3, i=1)
+
+
 def test_central_retract_idempotent_and_fixes_center():
     d, i, j = {1}, 1, 2
     for x in ALG.elements():

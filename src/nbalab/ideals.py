@@ -6,13 +6,12 @@ index per carrier element with canonical first-occurrence labelling.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionError, PowerAlgebra, _closure, element_index, generator
+from .core import DimensionError, PowerAlgebra, element_index, generator
 from .skew import boolean_center, reduct, _label_tuple
 from .terms import t_branches
 from .transforms import CenterParams
@@ -429,6 +428,9 @@ def hom_of_ultra(ideal: Multideal) -> tuple:
 
 
 def ultra_of_hom(alg, h: Sequence[int]) -> Multideal:
+    """The ultramultideal (h^-1(1), ..., h^-1(n)) of a hom h onto generator(n)."""
+    if not is_hom_onto_generator(alg, h):
+        raise ValueError("not a homomorphism onto the generator")
     comps = [set() for _ in range(alg.n)]
     for x, k in enumerate(h):
         comps[k - 1].add(x)
@@ -456,57 +458,22 @@ def is_hom_onto_generator(alg, h: Sequence[int]) -> bool:
 
 
 def all_homs_onto_generator(alg) -> list:
-    """Backtracking over images of a generating set, closure-extended."""
-    n = alg.n
-    size = alg.size
-    gens = _generating_set(alg)
-    out = []
-    for images in itertools.product(range(1, n + 1), repeat=len(gens)):
-        h = np.full(size, 0, dtype=np.int64)
-        for k in range(1, n + 1):
-            h[alg.constant_index(k)] = k
-        for g, v in zip(gens, images):
-            if h[g] and h[g] != v:
-                break
-            h[g] = v
-        else:
-            h = _extend_hom(alg, h)
-            if h is not None and set(h.tolist()) == set(range(1, n + 1)):
-                out.append(tuple(int(v) for v in h))
-    return sorted(set(out))
+    """The homs onto generator(n), one per ultramultideal, sorted.
 
-
-def _generating_set(alg) -> list:
-    """Carrier indices that generate alg with the constants: each the least one outside
-    the subuniverse that those before it generate."""
-    gens = []
-    inside = _closure(alg, gens)
-    while not inside.all():
-        gens.append(int(np.argmin(inside)))
-        inside = _closure(alg, gens)
-    return gens
-
-
-def _extend_hom(alg, h: np.ndarray):
-    """Propagate h over q until total; None on conflict or incompleteness.
-
-    h(q(x, ys)) must be the image of branch h(x), so each round gathers q and those
-    images over the open grid of the known elements.
+    Homs that separate the points embed alg in a power n^k, so alg is an nBA and
+    the bijection with its ultramultideals makes the list complete; homs that do
+    not separate them prove nothing, and the list is refused.
     """
-    h = h.copy()
-    while True:
-        g = np.ix_(*[np.flatnonzero(h)] * (alg.n + 1))
-        res = alg.q_vec(g[0], g[1:])
-        vals = np.choose(h[g[0]] - 1, [h[y] for y in g[1:]])
-        img = np.zeros_like(h)
-        img[res] = vals  # one image per result; any conflict shows below
-        if np.any(img[res] != vals) or np.any((h > 0) & (img > 0) & (h != img)):
-            return None
-        new = (img > 0) & (h == 0)
-        if not np.any(new):
-            break
-        h[new] = img[new]
-    return h if np.all(h > 0) else None
+    homs = _ultra_homs(alg)
+    if len({tuple(h[x] for h in homs) for x in range(alg.size)}) < alg.size:
+        raise ValueError(f"not an nBA: its {len(homs)} homs onto generator({alg.n}) "
+                         f"do not separate its {alg.size} elements")
+    return sorted(homs)
+
+
+def _ultra_homs(alg) -> list:
+    """hom_of_ultra of each ultramultideal, in all_ultramultideals' order."""
+    return [hom_of_ultra(u) for u in all_ultramultideals(alg)]
 
 
 def is_prime(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2)) -> bool:
@@ -545,8 +512,7 @@ class StoneEmbedding:
 
 def stone_embed(alg) -> StoneEmbedding:
     """x maps to the tuple of its images under all ultramultideal homs."""
-    ultras = all_ultramultideals(alg)
-    homs = [hom_of_ultra(u) for u in ultras]
+    homs = _ultra_homs(alg)
     size = alg.size
     target = PowerAlgebra(alg.n, len(homs))
     images = tuple(tuple(h[x] for h in homs) for x in range(size))

@@ -508,6 +508,9 @@ def assignment_chunks(nvars: int, size: int, mode: str, budget: int, samples: in
     variable 0 varying fastest, and raises BudgetExceeded if there are more
     than budget; sampled mode reads samples seeded rows (seeded_draws).  With
     no variables there is one assignment, the empty one: one chunk of no arrays.
+    The fast variables, those whose combined range fits in CHUNK rows, run
+    within a chunk; when none fits, variable 0 runs through CHUNK-sized
+    slices of its range.
 
     With grid, an exhaustive chunk is an open grid instead: each fast
     variable t an arange along axis -1-t, each slow one an int, so the
@@ -530,16 +533,18 @@ def assignment_chunks(nvars: int, size: int, mode: str, budget: int, samples: in
     fast = 0
     while fast < nvars and size ** (fast + 1) <= CHUNK:
         fast += 1
-    if grid:
-        tile = [np.arange(size, dtype=np.int64).reshape((size,) + (1,) * t) for t in range(fast)]
-        for slow in itertools.product(range(size), repeat=nvars - fast):
-            yield tile + list(reversed(slow))
-        return
-    rows = size**fast
-    idx = np.arange(rows, dtype=np.int64)
-    tile = [(idx // size**t) % size for t in range(fast)]
+    if fast == 0 < nvars:  # the slices are the innermost loop, so variable 0 stays fastest
+        fast, tiles = 1, [[np.arange(lo, min(lo + CHUNK, size), dtype=np.int64)]
+                          for lo in range(0, size, CHUNK)]
+    elif grid:
+        tiles = [[np.arange(size, dtype=np.int64).reshape((size,) + (1,) * t) for t in range(fast)]]
+    else:
+        idx = np.arange(size**fast, dtype=np.int64)
+        tiles = [[(idx // size**t) % size for t in range(fast)]]
     for slow in itertools.product(range(size), repeat=nvars - fast):
-        yield tile + [np.full(rows, v, dtype=np.int64) for v in reversed(slow)]
+        for tile in tiles:
+            rows = len(tile[0]) if tile else 1
+            yield tile + [v if grid else np.full(rows, v, dtype=np.int64) for v in reversed(slow)]
 
 
 def first_witness(nvars: int, size: int, mode: str, budget: int, samples: int,

@@ -7,6 +7,8 @@ flattened meshgrids.  The Boolean-center consumers (atoms, theta_of,
 extension to an ultramultideal, primality) are kept as their per-element
 loops.  The code under test gathers q over open grids and grows index
 sets; both must give the same carriers, verdicts, witnesses and maps.
+The homs onto the generator are read off the ultramultideals, and the
+backtracker over a generating set is their oracle.
 """
 
 import itertools
@@ -311,13 +313,6 @@ def test_closure_of_an_outside_generator_raises():
         core.subalgebra_closure(diag, [(1, 2)])
 
 
-@pytest.mark.parametrize("alg", [A32, A23, A24, SUB24, core.power_algebra(2, 5),
-                                 core.power_algebra(4, 2), core.power_algebra(3, 3)],
-                         ids=["3^2", "2^3", "2^4", "sub-2^4", "2^5", "4^2", "3^3"])
-def test_generating_set_matches(alg):
-    assert ideals._generating_set(alg) == oracle_generating_set(alg)
-
-
 # -- multideals ----------------------------------------------------------------
 
 
@@ -397,31 +392,101 @@ def test_ideal_closure_rejects_a_seed_with_too_many_parts():
 # -- homs onto the generator ---------------------------------------------------
 
 
-@pytest.mark.parametrize("alg", [A32, core.power_algebra(2, 5), core.power_algebra(4, 2),
-                                 SUB24, SUB33],
-                         ids=["3^2", "2^5", "4^2", "sub-2^4", "sub-3^3"])
-def test_all_homs_match(alg):
+def every_subpower(alg):
+    """The distinct closures of every set of at most two elements."""
+    found = {}
+    for gens in itertools.chain.from_iterable(
+            itertools.combinations(alg.elements(), r) for r in range(3)):
+        sub = core.subalgebra_closure(alg, gens)
+        found.setdefault(sub.carrier, sub)
+    return list(found.values())
+
+
+def seeded_subpowers(alg, seed, count):
+    rng = random.Random(seed)
+    return [core.subalgebra_closure(alg, rng.sample(alg.elements(), 2)) for _ in range(count)]
+
+
+SUBS32, SUBS23 = every_subpower(A32), every_subpower(A23)
+HOM_INPUTS = ([(f"3^2 sub {t}", sub) for t, sub in enumerate(SUBS32)]
+              + [(f"2^3 sub {t}", sub) for t, sub in enumerate(SUBS23)]
+              + [(f"2^4 seeded {t}", sub) for t, sub in enumerate(seeded_subpowers(A24, 3, 4))]
+              + [(f"3^3 seeded {t}", sub)
+                 for t, sub in enumerate(seeded_subpowers(core.power_algebra(3, 3), 4, 3))]
+              + [("2^5", core.power_algebra(2, 5)), ("4^2", core.power_algebra(4, 2)),
+                 ("sub-2^4", SUB24), ("sub-3^3", SUB33)]
+              + [(f"generator {n}", core.generator(n)) for n in range(2, 6)]
+              + [("2^0", core.power_algebra(2, 0))])
+
+
+def test_every_subpower_is_one_per_partition_of_the_points():
+    assert (len(SUBS32), len(SUBS23)) == (2, 5)  # the Bell numbers B_2 and B_3
+
+
+@pytest.mark.parametrize("label,alg", HOM_INPUTS, ids=[label for label, _ in HOM_INPUTS])
+def test_all_homs_match(label, alg):
     got = ideals.all_homs_onto_generator(alg)
     assert got == oracle_all_homs(alg, oracle_generating_set(alg))
     assert len(got) == ideals.stone_embed(alg).target.points
 
 
 def test_homs_of_a_table_are_the_powers():
-    assert ideals.all_homs_onto_generator(core.table_of_power(A23)) == \
-        oracle_all_homs(A23, oracle_generating_set(A23))
+    for alg in (A23, A32):
+        assert ideals.all_homs_onto_generator(core.table_of_power(alg)) == \
+            oracle_all_homs(alg, oracle_generating_set(alg))
 
 
-def test_extend_hom_matches_on_partial_maps():
-    rng = random.Random(5)
-    for alg in (A32, A24, SUB33):
-        for _ in range(30):
-            h = np.zeros(alg.size, dtype=np.int64)
-            for k in range(1, alg.n + 1):
-                h[alg.constant_index(k)] = k
-            for x in rng.sample(range(alg.size), 2):
-                h[x] = rng.randrange(1, alg.n + 1)
-            got, want = ideals._extend_hom(alg, h), oracle_extend_hom(alg, h)
-            assert (got is None and want is None) or np.array_equal(got, want)
+def oracle_table_generating_set(alg):
+    """Carrier indices that generate alg with the constants, as the backtracker chose
+    them: each the least one outside the subuniverse that those before it generate."""
+    gens = []
+    inside = core._closure(alg, gens)
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        inside = core._closure(alg, gens)
+    return gens
+
+
+def shuffled_table(alg, seed):
+    """table_of_power(alg) with its carrier relabelled by a seeded permutation."""
+    tab = core.table_of_power(alg)
+    perm = np.random.default_rng(seed).permutation(tab.size)
+    q = np.empty_like(tab.q_table())
+    q[np.ix_(*[perm] * (tab.n + 1))] = perm[tab.q_table()]
+    return core.TableAlgebra(tab.n, tab.size, tuple(int(perm[c]) for c in tab.constants),
+                             tuple(q.ravel().tolist()))
+
+
+def test_homs_of_shuffled_tables_match():
+    """In a shuffled carrier the ultramultideals' order is not the homs' sorted order."""
+    for alg in (A23, A32):
+        for seed in range(6):
+            tab = shuffled_table(alg, seed)
+            assert ideals.all_homs_onto_generator(tab) == \
+                oracle_all_homs(tab, oracle_table_generating_set(tab))
+
+
+def test_homs_of_mutated_tables_raise_or_match():
+    """A one-entry mutation is refused, or it has exactly the backtracker's homs.
+
+    The new entry is drawn from the whole carrier, so some draws leave the table
+    as it was; every draw that changed it was refused when this test was written.
+    """
+    seen = set()
+    for alg in (A23, A32):
+        base, rng = core.table_of_power(alg), random.Random(alg.size)
+        for _ in range(60):
+            key = tuple(rng.randrange(base.size) for _ in range(base.n + 1))
+            mutant = base.mutate(key, rng.randrange(base.size))
+            want = oracle_all_homs(mutant, oracle_table_generating_set(mutant))
+            try:
+                got = ideals.all_homs_onto_generator(mutant)
+            except ValueError:
+                seen.add("refused")
+                continue
+            assert got == want, key
+            seen.add("matched")
+    assert seen == {"refused", "matched"}
 
 
 def test_is_hom_onto_generator_checks_the_map_length():

@@ -9,6 +9,8 @@ assignment counts.  Sampled checks read seeded_draws, which draws each
 seeded stream once per process.
 """
 
+import functools
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -114,8 +116,9 @@ def mutated_table(n, m, seed):
 
 
 @pytest.mark.parametrize("n,m,chunk", [(2, 1, 1), (2, 2, 3)])
-def test_chunks_of_scalars_only_match_the_flat_tile(monkeypatch, on_both, n, m, chunk):
-    """size > CHUNK: no variable is fast, so every chunk is one row of ints."""
+def test_slices_of_variable_0_match_the_flat_tile(monkeypatch, on_both, n, m, chunk):
+    """size > CHUNK: no variable fits, so variable 0 runs through CHUNK-sized slices
+    and every other variable is an int."""
     monkeypatch.setattr(terms, "CHUNK", chunk)
     for alg in (core.power_algebra(n, m), mutated_table(n, m, 5)):
         for suite, obj in [("NBA", alg), ("SKEW_STAR", skew.star_of(alg))]:
@@ -123,6 +126,28 @@ def test_chunks_of_scalars_only_match_the_flat_tile(monkeypatch, on_both, n, m, 
             assert grid == flat, suite
             assert all(mode == "exhaustive" for _, _, mode, _, _ in grid)
     assert not skew.check_axioms(alg, "NBA").ok
+
+
+@pytest.mark.parametrize("nvars,size,chunk", [(1, 7, 3), (2, 5, 2), (3, 4, 3), (2, 9, 4)])
+def test_slices_of_variable_0_enumerate_the_flat_rows(monkeypatch, nvars, size, chunk):
+    """ceil(size / CHUNK) * size^(nvars - 1) chunks, in the flat tile's row order,
+    with the same first witness and count for any flagged row: every row up to the
+    end of the witness's slice."""
+    monkeypatch.setattr(terms, "CHUNK", chunk)
+    args = (nvars, size, "exhaustive", size**nvars, 0, 0)
+    chunks = list(terms.assignment_chunks(*args, True))
+    assert len(chunks) == -(-size // chunk) * size ** (nvars - 1)
+    rows = np.concatenate([np.stack(np.broadcast_arrays(*c), -1) for c in chunks])
+    flat = np.concatenate([np.stack(c, -1) for c in terms.assignment_chunks(*args)])
+    want = [r[::-1] for r in itertools.product(range(size), repeat=nvars)]  # variable 0 fastest
+    assert rows.tolist() == flat.tolist() == [list(r) for r in want]
+    for target in ([size - 1] * nvars, list(flat[len(flat) // 3]), list(flat[chunk]), None):
+        differ = (lambda c: np.zeros((), bool)) if target is None else \
+            (lambda c: functools.reduce(np.logical_and, [a == t for a, t in zip(c, target)]))
+        got = terms.first_witness(*args, differ)
+        assert got == flat_first_witness(*args, differ)
+        at = flat.tolist().index(target) if target else size**nvars - 1
+        assert got == (target, at - at % size + min(at % size // chunk * chunk + chunk, size))
 
 
 @pytest.mark.parametrize("alg", [core.power_algebra(2, 2), core.power_algebra(3, 1),

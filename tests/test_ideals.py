@@ -165,6 +165,21 @@ def test_ultra_hom_bijection():
         assert u.is_ultra and hom_of_ultra(u) == h
 
 
+@pytest.mark.parametrize("h", [(0,) * 9, (1, 2, 3), (4,) * 9])
+def test_ultra_of_hom_refuses_a_map_that_is_no_hom(h):
+    with pytest.raises(ValueError):
+        ultra_of_hom(A32, h)
+
+
+def test_all_homs_refuses_homs_that_do_not_separate():
+    """2 acts as e1 in the scrutinee: the one hom (1, 2, 1) does not tell 0 from 2."""
+    flat = tuple(ys[0] if x in (0, 2) else ys[1] for x, *ys in itertools.product(range(3), repeat=3))
+    alg = core.TableAlgebra(2, 3, (0, 1), flat)
+    assert [hom_of_ultra(u) for u in all_ultramultideals(alg)] == [(1, 2, 1)]
+    with pytest.raises(ValueError, match="not an nBA: its 1 homs onto generator"):
+        all_homs_onto_generator(alg)
+
+
 def test_homs_are_the_point_evaluations():
     homs = all_homs_onto_generator(A32)
     expected = {tuple(e[p] for e in A32.elements()) for p in range(2)}
@@ -256,7 +271,7 @@ def test_boolean_view_rejects_a_non_ideal():
 def test_hom_of_ultra_raises_on_a_non_hom_under_python_O():
     code = textwrap.dedent("""
         from nbalab import core, ideals
-        u = ideals.ultra_of_hom(core.power_algebra(2, 2), (1, 1, 1, 2))
+        u = ideals.Multideal(core.power_algebra(2, 2), (frozenset({0, 1, 2}), frozenset({3})))
         try:
             ideals.hom_of_ultra(u)
         except ValueError:

@@ -46,13 +46,15 @@ def oracle_first_witness(arrays, evaluate):
 
 
 def chunk_rows(size, mode):
-    """Rows per chunk: the fast-variable tile, or CHUNK sampled rows."""
+    """Rows per chunk: the fast-variable tile, CHUNK sampled rows, or, when no
+    variable fits, a CHUNK-sized slice of variable 0 (the last slice of each run of
+    size rows may be shorter)."""
     if mode == "sampled":
         return terms.CHUNK
     fast = 0
     while size ** (fast + 1) <= terms.CHUNK:
         fast += 1
-    return size**fast
+    return size**fast if fast else terms.CHUNK
 
 
 def expected_assignments(nvars, size, mode, samples, first_bad):
@@ -60,7 +62,9 @@ def expected_assignments(nvars, size, mode, samples, first_bad):
     if first_bad is None:
         return total
     rows = chunk_rows(size, mode)
-    return min(total, (first_bad // rows + 1) * rows)
+    run = size if mode == "exhaustive" and size > terms.CHUNK else total  # where slices restart
+    start = first_bad - first_bad % run
+    return min(total, start + (first_bad % run // rows + 1) * rows, start + run)
 
 
 def oracle_axiom(ax, size, labels):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -46,13 +47,6 @@ def _check_dim(n: int) -> int:
     return n
 
 
-def constant_element(n: int, m: int, k: int) -> Element:
-    """The constant element e_k of the m-point power of dimension n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"constant index {k} out of 1..{n}")
-    return (k,) * m
-
-
 @dataclass(frozen=True)
 class PowerAlgebra:
     """A (sub-)power of the n-element generator on an m-point set.
@@ -75,7 +69,7 @@ class PowerAlgebra:
             for el in self.carrier:
                 self._check_element(el)
             for k in range(1, self.n + 1):
-                if constant_element(self.n, self.points, k) not in set(self.carrier):
+                if self.constant(k) not in self:
                     raise ValueError(f"carrier misses constant e_{k}")
 
     def _check_element(self, el: Element) -> None:
@@ -92,20 +86,16 @@ class PowerAlgebra:
     def elements(self) -> tuple:
         if self.carrier is not None:
             return self.carrier
-        full = self._cache.get("full")
-        if full is None:
+        if "full" not in self._cache:
             check_table_bound("the element list", self.size, self.size * self.points)
-            full = tuple(itertools.product(range(1, self.n + 1), repeat=self.points))
-            self._cache["full"] = full
-        return full
+            self._cache["full"] = tuple(itertools.product(range(1, self.n + 1), repeat=self.points))
+        return self._cache["full"]
 
     def index(self, el: Element) -> int:
-        idx = self._cache.get("index")
-        if idx is None:
-            idx = {e: i for i, e in enumerate(self.elements())}
-            self._cache["index"] = idx
+        if "index" not in self._cache:
+            self._cache["index"] = {e: i for i, e in enumerate(self.elements())}
         try:
-            return idx[tuple(el)]
+            return self._cache["index"][tuple(el)]
         except KeyError:
             raise ShapeError(f"element {el} not in carrier") from None
 
@@ -117,7 +107,10 @@ class PowerAlgebra:
             return False
 
     def constant(self, k: int) -> Element:
-        return constant_element(self.n, self.points, k)
+        """The constant element e_k."""
+        if not 1 <= k <= self.n:
+            raise ValueError(f"constant index {k} out of 1..{self.n}")
+        return (k,) * self.points
 
     @property
     def constants(self) -> tuple:
@@ -161,33 +154,61 @@ class PowerAlgebra:
             out += pick * shift
         return out
 
+    def _power(self) -> "PowerAlgebra":
+        """The full power this algebra is index for index: itself, or n^j for a carrier
+        with j coordinate classes (points on which every element agrees share a class).
+        A carrier holding the constants is closed under q iff it has n^j elements; it is
+        then the diagonal of its classes, ordered as the values at each class's first
+        point.  An open carrier raises q's ShapeError."""
+        if self.carrier is None:
+            return self
+        if "power" not in self._cache:
+            vals = np.array(self.carrier, dtype=np.int64).reshape(self.size, self.points)
+            j = len(_first_ranks(vals.T)[0])
+            if self.size != self.n**j:
+                self._escape(vals)
+            self._cache["power"] = power_algebra(self.n, j)
+        return self._cache["power"]
+
+    def _escape(self, vals: np.ndarray) -> None:
+        """q's ShapeError at the first argument tuple (C order, scrutinee slowest) whose
+        value the open carrier vals lacks.  For a scrutinee x, q(x, y_1..y_n) takes y_k's
+        values where x is k, so it lies in the carrier iff its n projections are one
+        element's.  With each projection ranked by the first element that has it, the
+        least mixed-radix code (a Python int) of n ranks that no element has is the answer.
+        """
+        for s, x in enumerate(vals):
+            firsts, ranks = zip(*(_first_ranks(vals[:, x == k]) for k in range(1, self.n + 1)))
+            place = [math.prod(len(f) for f in firsts[k + 1:]) for k in range(self.n)]
+            codes = np.unique(sum(r.astype(object) * p for r, p in zip(ranks, place)))
+            gap = int(np.append(codes != np.arange(len(codes)), True).argmax())
+            if gap < place[0] * len(firsts[0]):
+                self.q_idx(s, [int(f[gap // p % len(f)]) for f, p in zip(firsts, place)])
+
     def q_table(self) -> np.ndarray:
         """Dense (size,)*(n+1) table of q over carrier indices; ShapeError if not closed."""
-        tab = self._cache.get("qtab")
-        if tab is None:
+        if self.carrier is not None:
+            return self._power().q_table()
+        if "qtab" not in self._cache:
             check_table_bound("the q table", self.size, self.size ** (self.n + 1))
-            # the carrier is sorted, so its codes are too
-            vals = np.array(self.elements(), dtype=np.int64).reshape(self.size, self.points)
-            codes = (vals - 1) @ (self.n ** np.arange(self.points - 1, -1, -1, dtype=np.int64))
-            # each digit comes from one branch: q(x, ys) = sum over k of q(x, 0, .., y_k, .., 0)
-            axes = [codes.reshape((-1,) + (1,) * (self.n - a)) for a in range(self.n + 1)]
-            res = sum(self._q_codes(axes[0], [axes[k + 1] if j == k else 0 for j in range(self.n)])
-                      for k in range(self.n))
-            tab = np.searchsorted(codes, res)
-            missing = np.argwhere(codes.take(tab, mode="clip") != res)
-            if missing.size:  # q raises a ShapeError naming the element the carrier lacks
-                self.q_idx(int(missing[0, 0]), missing[0, 1:].tolist())
-            self._cache["qtab"] = tab
-        return tab
+            # a full power's indices are its codes; each digit comes from one branch:
+            # q(x, ys) = sum over k of q(x, 0, .., y_k, .., 0)
+            axes = [np.arange(self.size).reshape((-1,) + (1,) * (self.n - a))
+                    for a in range(self.n + 1)]
+            self._cache["qtab"] = sum(
+                self._q_codes(axes[0], [axes[k + 1] if j == k else 0 for j in range(self.n)])
+                for k in range(self.n))
+        return self._cache["qtab"]
 
     def q_vec(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:
-        """Vectorised q over arrays of carrier indices.
+        """Vectorised q over arrays of carrier indices; a subpower's is n^j's (see _power).
 
-        A full power whose table has more than GATHER_TABLE_MAX entries runs
-        the digit kernel on its indices, which are its codes; every other
-        algebra gathers from its q table.
+        A full power whose table has more than GATHER_TABLE_MAX entries runs the digit
+        kernel on its indices, which are its codes; any other gathers from its q table.
         """
-        if self.carrier is None and (self.n**self.points) ** (self.n + 1) > GATHER_TABLE_MAX:
+        if self.carrier is not None:
+            return self._power().q_vec(s, branches)
+        if self.size ** (self.n + 1) > GATHER_TABLE_MAX:
             return self._q_codes(s, branches)
         return self.q_table()[tuple([s, *branches])]
 
@@ -198,12 +219,8 @@ class PowerAlgebra:
     def to_json(self) -> dict:
         if self.carrier is None:
             return {"n": self.n, "kind": "power", "points": self.points}
-        return {
-            "n": self.n,
-            "kind": "subpower",
-            "points": self.points,
-            "carrier": [list(e) for e in self.carrier],
-        }
+        return {"n": self.n, "kind": "subpower", "points": self.points,
+                "carrier": [list(e) for e in self.carrier]}
 
 
 @dataclass(frozen=True)
@@ -260,20 +277,12 @@ class TableAlgebra:
     def mutate(self, key: tuple, value: int) -> "TableAlgebra":
         """Copy with one q entry replaced (mutation testing helper)."""
         flat = list(self.q_flat)
-        pos = 0
-        for k in key:
-            pos = pos * self.size + k
-        flat[pos] = value
+        flat[int(np.ravel_multi_index(key, (self.size,) * (self.n + 1)))] = value
         return TableAlgebra(self.n, self.size, self.constants, tuple(flat))
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": "table",
-            "size": self.size,
-            "constants": list(self.constants),
-            "q": list(self.q_flat),
-        }
+        return {"n": self.n, "kind": "table", "size": self.size,
+                "constants": list(self.constants), "q": list(self.q_flat)}
 
 
 def element_index(alg, x) -> int:
@@ -297,13 +306,11 @@ def generator(n: int) -> PowerAlgebra:
     built once per process and not once per check.  The cache is typed, so
     2.0 or numpy's 2 is not taken for 2 and still fails _check_dim.
     """
-    _check_dim(n)
     return PowerAlgebra(n, 1)
 
 
 def power_algebra(n: int, m: int) -> PowerAlgebra:
     """The full power with n**m elements."""
-    _check_dim(n)
     return PowerAlgebra(n, m)
 
 
@@ -327,9 +334,7 @@ def nsubset_q(n: int, y0: NSubset, ys: Sequence[NSubset]) -> NSubset:
     _check_dim(n)
     if len(y0) != n or any(len(y) != n for y in ys) or len(ys) != n:
         raise ShapeError("all n-subsets must have exactly n components")
-    return tuple(
-        frozenset().union(*(y0[i] & ys[i][k] for i in range(n))) for k in range(n)
-    )
+    return tuple(frozenset().union(*(y0[i] & ys[i][k] for i in range(n))) for k in range(n))
 
 
 def element_to_partition(el: Element, n: int) -> NSubset:
@@ -351,34 +356,25 @@ def partition_to_element(parts: NSubset, m: int) -> Element:
 # -- subalgebra closure ------------------------------------------------
 
 
-def _closure(alg, gens) -> np.ndarray:
-    """Mask of the least set of carrier indices holding the constants and gens, closed under q.
-
-    Each round gathers q over the open grids of the tuples that hold an element
-    added in the last round: position p new, the positions before it from the
-    set closed so far, the positions after it from the whole set.
-    """
-    inside = np.zeros(alg.size, dtype=bool)
-    inside[[alg.constant_index(k) for k in range(1, alg.n + 1)]] = True
-    inside[np.asarray(gens, dtype=np.int64)] = True
-    closed = np.zeros(0, dtype=np.int64)
-    while not inside.all():
-        every = np.flatnonzero(inside)
-        new = np.setdiff1d(every, closed, assume_unique=True)
-        if not new.size:
-            break
-        for p in range(alg.n + 1):
-            g = np.ix_(*[closed] * p, new, *[every] * (alg.n - p))
-            inside[alg.q_vec(g[0], g[1:])] = True
-        closed = every
-    return inside
+def _first_ranks(vals: np.ndarray) -> tuple:
+    """(first index of each distinct row of vals, ascending; each row's rank in that order).
+    Rows compare as runs of bytes; the appended zero gives rows of no values one byte."""
+    rows = np.ascontiguousarray(np.pad(vals, ((0, 0), (0, 1))))
+    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
 def subalgebra_closure(alg: PowerAlgebra, gens: Iterable[Element]) -> PowerAlgebra:
-    """Smallest carrier containing constants and gens, closed under q; gens must lie in alg."""
-    els = alg.elements()
-    inside = _closure(alg, [alg.index(tuple(g)) for g in gens])
-    return PowerAlgebra(alg.n, alg.points, tuple(els[i] for i in np.flatnonzero(inside)))
+    """Smallest carrier containing constants and gens, closed under q; gens must lie in alg.
+    It is the diagonal of the coordinate classes that the gens cut out, read off n^j."""
+    gens = [tuple(g) for g in gens]
+    for g in gens:  # a subpower's _power raises ShapeError if its carrier is open
+        alg._check_element(g) if alg._power() is alg else alg.index(g)
+    first, cls = _first_ranks(np.array([alg.constant(1), *gens], dtype=np.int64).T)
+    diag = np.array(power_algebra(alg.n, len(first)).elements(), dtype=np.int64)
+    return PowerAlgebra(alg.n, alg.points, tuple(map(tuple, diag[:, cls].tolist())))
 
 
 # -- serialisation -----------------------------------------------------
@@ -415,7 +411,7 @@ def algebra_from_json(obj: dict):
             raise ValueError(f"carrier must be a list of elements, got {carrier!r:.60}")
         alg = PowerAlgebra(n, json_int(obj["points"], "points"),
                            tuple(json_ints(e, "a carrier element") for e in carrier))
-        alg.q_table()  # rejects a carrier that is not closed under q
+        alg._power()  # rejects a carrier that is not closed under q
         return alg
     if kind == "table":
         return TableAlgebra(n, json_int(obj["size"], "size"),

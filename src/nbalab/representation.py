@@ -93,7 +93,9 @@ def star_embed(f: PartialFn, n: int, i: int) -> Element:
     """The n-partition with blocks f^-1(1), f^-1(2) and the co-domain at i."""
     if n < 3:
         raise ValueError("the star map needs dimension >= 3")
-    if i in (1, 2) or not 1 <= i <= n:
+    if not 1 <= i <= n:
+        raise ValueError(f"slot index {i} out of 3..{n}")
+    if i in (1, 2):
         raise ValueError(f"slot index {i} must avoid the value indices 1, 2")
     return tuple(v if v else i for v in f.values)
 

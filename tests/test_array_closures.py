@@ -8,7 +8,10 @@ extension to an ultramultideal, primality) are kept as their per-element
 loops.  The code under test gathers q over open grids and grows index
 sets; both must give the same carriers, verdicts, witnesses and maps.
 The homs onto the generator are read off the ultramultideals, and the
-backtracker over a generating set is their oracle.
+backtracker over a generating set is their oracle.  A subpower is the
+diagonal of its coordinate partition: its oracles are the q-closure over
+open grids (`oracle_closure`) and the subpower q table that the digit
+kernel and a search over all argument tuples built (`oracle_dense_q_table`).
 """
 
 import itertools
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 
 from nbalab import core, ideals
-from nbalab.core import ShapeError, element_index
+from nbalab.core import ShapeError, check_table_bound, element_index
 from nbalab.ideals import Multideal, ValidationResult, degenerate_multideal
 from nbalab.skew import _label_tuple, boolean_center, reduct
 from nbalab.transforms import CenterParams
@@ -47,6 +50,29 @@ def oracle_subalgebra_closure(alg, gens):
         current |= new
         frontier = new
     return core.PowerAlgebra(alg.n, alg.points, tuple(sorted(current)))
+
+
+def oracle_closure(alg, gens) -> np.ndarray:
+    """Mask of the least set of carrier indices holding the constants and gens, closed under q.
+
+    Each round gathers q over the open grids of the tuples that hold an element
+    added in the last round: position p new, the positions before it from the
+    set closed so far, the positions after it from the whole set.
+    """
+    inside = np.zeros(alg.size, dtype=bool)
+    inside[[alg.constant_index(k) for k in range(1, alg.n + 1)]] = True
+    inside[np.asarray(gens, dtype=np.int64)] = True
+    closed = np.zeros(0, dtype=np.int64)
+    while not inside.all():
+        every = np.flatnonzero(inside)
+        new = np.setdiff1d(every, closed, assume_unique=True)
+        if not new.size:
+            break
+        for p in range(alg.n + 1):
+            g = np.ix_(*[closed] * p, new, *[every] * (alg.n - p))
+            inside[alg.q_vec(g[0], g[1:])] = True
+        closed = every
+    return inside
 
 
 def _grid_q(alg, arrays):
@@ -289,7 +315,14 @@ def test_every_one_and_two_generator_closure_matches(alg):
             assert got.carrier == oracle_subalgebra_closure(alg, gens).carrier, gens
 
 
-@pytest.mark.parametrize("n, m, seed", [(2, 5, 1), (3, 3, 2), (2, 6, 3)])
+# 74 cases of four generator sets each; 3^3 has the fewest, as its oracle is the slowest
+SEEDED_CLOSURES = [(2, 5, 1), (3, 3, 2), (2, 6, 3)] + [
+    (n, m, seed) for n, m, count in ((2, 3, 12), (2, 4, 12), (2, 5, 12), (2, 6, 10), (3, 2, 12),
+                                     (3, 3, 3), (4, 2, 10))
+    for seed in range(10, 10 + count)]
+
+
+@pytest.mark.parametrize("n, m, seed", SEEDED_CLOSURES)
 def test_seeded_closures_match(n, m, seed):
     alg = core.power_algebra(n, m)
     rng = random.Random(seed)
@@ -306,11 +339,86 @@ def test_closure_inside_a_subpower_matches():
         assert got.carrier == oracle_subalgebra_closure(SUB33, [g]).carrier
 
 
+def oracle_dense_q_table(alg):
+    """A subpower's q table as the digit kernel and a search over all argument tuples
+    built it; q's ShapeError at the first tuple whose value the carrier lacks."""
+    check_table_bound("the q table", alg.size, alg.size ** (alg.n + 1))
+    # the carrier is sorted, so its codes are too
+    vals = np.array(alg.elements(), dtype=np.int64).reshape(alg.size, alg.points)
+    codes = (vals - 1) @ (alg.n ** np.arange(alg.points - 1, -1, -1, dtype=np.int64))
+    # each digit comes from one branch: q(x, ys) = sum over k of q(x, 0, .., y_k, .., 0)
+    axes = [codes.reshape((-1,) + (1,) * (alg.n - a)) for a in range(alg.n + 1)]
+    res = sum(alg._q_codes(axes[0], [axes[k + 1] if j == k else 0 for j in range(alg.n)])
+              for k in range(alg.n))
+    tab = np.searchsorted(codes, res)
+    missing = np.argwhere(codes.take(tab, mode="clip") != res)
+    if missing.size:  # q raises a ShapeError naming the element the carrier lacks
+        alg.q_idx(int(missing[0, 0]), missing[0, 1:].tolist())
+    return tab
+
+
+def constant_holding_subsets(n, m, seed, count):
+    """Seeded carriers of n^m holding the constants.  Half take elements of the whole
+    power, half of the diagonal of a random coordinate partition, kept whole one time
+    in four; the whole diagonals are the closed ones."""
+    rng = random.Random(seed)
+    els = core.power_algebra(n, m).elements()
+    consts = {(k,) * m for k in range(1, n + 1)}
+    out = []
+    for t in range(count):
+        if t % 2:
+            label = [rng.randrange(m) for _ in range(m)]
+            pool = [e for e in els if all(e[p] == e[label.index(label[p])] for p in range(m))]
+            keep = 1.0 if rng.random() < 0.25 else 0.5
+        else:
+            pool, keep = els, rng.choice((0.1, 0.3, 0.6))
+        out.append(tuple(sorted(consts | {e for e in pool if rng.random() < keep})))
+    return out
+
+
+# the scalar closure oracle needs about 70 s for all of these subsets on a 2-core machine,
+# so it runs on the small powers only
+SCALAR_ORACLE = {(2, 3), (2, 4), (3, 2)}
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (4, 2)])
+def test_a_carrier_loads_iff_it_is_its_own_closure(n, m):
+    """1,820 subsets in all: a carrier loads iff it is its own closure, with the dense
+    search's q table; an open one raises the dense search's ShapeError."""
+    full = core.power_algebra(n, m)
+    verdicts = set()
+    for carrier in constant_holding_subsets(n, m, 100 * n + m, 260):
+        closed = oracle_closure(full, [full.index(e) for e in carrier]).sum() == len(carrier)
+        if (n, m) in SCALAR_ORACLE:
+            assert closed == (oracle_subalgebra_closure(full, carrier).carrier == carrier)
+        alg = core.PowerAlgebra(n, m, carrier)
+        try:
+            want = oracle_dense_q_table(alg)
+        except ShapeError as exc:
+            assert not closed, carrier
+            for load in (lambda: core.algebra_from_json(alg.to_json()),
+                         core.PowerAlgebra(n, m, carrier).q_table):
+                with pytest.raises(ShapeError) as got:
+                    load()
+                assert str(got.value) == str(exc)
+        else:
+            assert closed, carrier
+            assert np.array_equal(core.algebra_from_json(alg.to_json()).q_table(), want)
+        verdicts.add(closed)
+    assert verdicts == {True, False}
+
+
 def test_closure_of_an_outside_generator_raises():
     diag = core.subalgebra_closure(A32, [])
     assert diag.carrier == ((1, 1), (2, 2), (3, 3))
     with pytest.raises(ShapeError):
         core.subalgebra_closure(diag, [(1, 2)])
+
+
+def test_closure_inside_an_open_carrier_raises():
+    open_carrier = core.PowerAlgebra(3, 2, ((1, 1), (1, 2), (2, 2), (3, 3)))
+    with pytest.raises(ShapeError, match="not closed under q"):
+        core.subalgebra_closure(open_carrier, [(1, 2)])
 
 
 # -- multideals ----------------------------------------------------------------
@@ -440,10 +548,10 @@ def oracle_table_generating_set(alg):
     """Carrier indices that generate alg with the constants, as the backtracker chose
     them: each the least one outside the subuniverse that those before it generate."""
     gens = []
-    inside = core._closure(alg, gens)
+    inside = oracle_closure(alg, gens)
     while not inside.all():
         gens.append(int(np.argmin(inside)))
-        inside = core._closure(alg, gens)
+        inside = oracle_closure(alg, gens)
     return gens
 
 

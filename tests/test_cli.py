@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -230,6 +231,17 @@ def test_open_subpower_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "not closed under q" in captured.err and "Traceback" not in captured.err
+
+
+def test_a_wide_subpower_checks_as_the_power_of_its_classes(capsys, tmp_path, power_file):
+    """2^16 elements inside 2^20 (classes {p, p + 16} and singletons): no q table is
+    built at load, and the audit is that of 2^16, mode for mode."""
+    carrier = [[v[p % 16] for p in range(20)] for v in itertools.product((1, 2), repeat=16)]
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"n": 2, "kind": "subpower", "points": 20, "carrier": carrier}))
+    got = run(capsys, ["check", "--algebra", str(path), "--suite", "nba"])
+    assert got == run(capsys, ["check", "--algebra", power_file(2, 16), "--suite", "nba"])
+    assert got[0] == 0
 
 
 @pytest.mark.parametrize("command", ["ultras", "embed"])

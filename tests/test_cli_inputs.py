@@ -104,6 +104,8 @@ CASES = [
      "must lie in 1..2"),
     ("represent on 9 points", None, represent(9), 1, "point count 9 out of 0..5"),
     ("represent on -1 points", None, represent(-1), 1, "point count -1 out of 0..5"),
+    ("represent with a slot outside 1..n", None,
+     ["represent", "--points", "2", "--n", "3", "--i", "9"], 1, "slot index 9 out of 3..3"),
     ("float env value", None, env("x=[1.5,2]", "y=[1,1]", "z=[2,2]"), 2,
      "--env: bad entry 'x=[1.5,2]'"),
     ("boolean env value", None, env("x=[true]", "y=[1]", "z=[2]"), 2,
@@ -190,3 +192,14 @@ def test_out_of_range_env_value_is_an_error_not_a_usage_error(capsys):
     assert main(env("x=[5]", "y=[1]", "z=[2]")) == 1
     out, err = capsys.readouterr()
     assert json.loads(out) == {"error": "value 5 out of 1..2 in (5,)"} and not err
+
+
+@pytest.mark.parametrize("n, points", [(2, 64), (3, 41)])
+def test_congruences_of_the_constants_on_a_wide_point_set(n, points, tmp_path, capsys):
+    """Base-n codes of 64 or 41 points overflow 64 bits; the subpower is n^1."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"n": n, "kind": "subpower", "points": points,
+                                "carrier": [[k] * points for k in range(1, n + 1)]}))
+    assert main(["congruences", "--algebra", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["count"] == 2 and "Traceback" not in err

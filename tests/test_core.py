@@ -164,6 +164,16 @@ def test_q_table_on_an_open_carrier_raises():
         core.algebra_from_json(alg.to_json())
 
 
+def test_a_wide_diagonal_has_the_q_table_of_its_classes():
+    """The 9-element diagonal of 3^40 with classes 0..38 and 39 is 3^2 index for index;
+    base-3 codes of its 40 points would overflow 64 bits."""
+    carrier = [(a,) * 39 + (b,) for a in range(1, 4) for b in range(1, 4)]
+    alg = core.algebra_from_json({"n": 3, "kind": "subpower", "points": 40,
+                                  "carrier": [list(e) for e in carrier]})
+    assert np.array_equal(alg.q_table(), core.power_algebra(3, 2).q_table())
+    assert core.subalgebra_closure(core.power_algebra(3, 40), carrier[1:2]).carrier == alg.carrier
+
+
 def test_q_vec_broadcasts_like_the_table_lookup():
     alg = core.power_algebra(3, 2)
     tab = core.table_of_power(alg)

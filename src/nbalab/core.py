@@ -25,6 +25,10 @@ GATHER_TABLE_MAX = 1 << 16
 # the most entries a dense table over a carrier may have: 2^8's t table, 256^3
 TABLE_BOUND = 1 << 24
 
+# gather reads fewer results than this by one multi-array index, which beats a
+# flat take on reads this small (the generator's 32- to 81-row term steps)
+FANCY_READ_MAX = 1 << 11
+
 
 class DimensionError(ValueError):
     pass
@@ -39,6 +43,24 @@ def check_table_bound(what: str, size: int, entries: int) -> None:
     if entries > TABLE_BOUND:
         raise ValueError(f"{what} over carrier size {size} needs {entries} entries, "
                          f"exceeding bound {TABLE_BOUND}")
+
+
+def gather(tab: np.ndarray, args: Sequence) -> np.ndarray:
+    """tab indexed by args: one integer index array or scalar per axis of tab, broadcast
+    together, each in range on its own axis.
+
+    A read of FANCY_READ_MAX results or more folds the arguments into one flat index
+    over tab's shape (Horner, each argument cast to int64 first, so that a narrow index
+    dtype cannot overflow) and takes it; a smaller one indexes tab directly.
+    """
+    if len(args) != tab.ndim:
+        raise IndexError(f"a table of {tab.ndim} axes read with {len(args)} indices")
+    if np.broadcast(*args).size < FANCY_READ_MAX:
+        return tab[tuple(args)]
+    idx = np.asarray(args[0], dtype=np.int64)
+    for a, dim in zip(args[1:], tab.shape[1:]):
+        idx = idx * dim + np.asarray(a, dtype=np.int64)
+    return tab.take(idx)
 
 
 def _check_dim(n: int) -> int:
@@ -66,11 +88,24 @@ class PowerAlgebra:
             raise ValueError("point count must be >= 0")
         if self.carrier is not None:
             object.__setattr__(self, "carrier", tuple(sorted(set(self.carrier))))
-            for el in self.carrier:
-                self._check_element(el)
+            self._values()
             for k in range(1, self.n + 1):
                 if self.constant(k) not in self:
                     raise ValueError(f"carrier misses constant e_{k}")
+
+    def _values(self) -> np.ndarray:
+        """The carrier as a (size, points) int64 array, built once; it is checked in one
+        pass, and element by element (ShapeError naming the first bad one) only when it
+        is not an integer array of that shape with values in 1..n."""
+        if "vals" not in self._cache:
+            vals = np.array(self.carrier) if set(map(len, self.carrier)) == {self.points} else None
+            if (vals is None or vals.shape != (self.size, self.points)
+                    or vals.dtype.kind not in "iu" or not ((1 <= vals) & (vals <= self.n)).all()):
+                for el in self.carrier:
+                    self._check_element(el)
+                vals = np.array(self.carrier, dtype=np.int64).reshape(self.size, self.points)
+            self._cache["vals"] = vals.astype(np.int64, copy=False)
+        return self._cache["vals"]
 
     def _check_element(self, el: Element) -> None:
         if len(el) != self.points:
@@ -163,7 +198,7 @@ class PowerAlgebra:
         if self.carrier is None:
             return self
         if "power" not in self._cache:
-            vals = np.array(self.carrier, dtype=np.int64).reshape(self.size, self.points)
+            vals = self._values()
             j = len(_first_ranks(vals.T)[0])
             if self.size != self.n**j:
                 self._escape(vals)
@@ -210,7 +245,7 @@ class PowerAlgebra:
             return self._power().q_vec(s, branches)
         if self.size ** (self.n + 1) > GATHER_TABLE_MAX:
             return self._q_codes(s, branches)
-        return self.q_table()[tuple([s, *branches])]
+        return gather(self.q_table(), [s, *branches])
 
     def element_label(self, i: int) -> str:
         el = self.elements()[i]
@@ -246,22 +281,22 @@ class TableAlgebra:
                 raise ValueError(f"constant index {c} out of range")
         if len(self.q_flat) != self.size ** (self.n + 1):
             raise ValueError("q table has wrong length")
-        for v in self.q_flat:
-            if not 0 <= v < self.size:
-                raise ValueError(f"table entry {v} out of range")
+        vals = np.asarray(self.q_flat)
+        if vals.dtype.kind not in "biuf":  # compare strings, complex numbers as Python does
+            vals = np.asarray(self.q_flat, dtype=object)
+        bad = ~((0 <= vals) & (vals < self.size))
+        if bad.any():
+            raise ValueError(f"table entry {self.q_flat[int(bad.argmax())]} out of range")
+        self._cache["qtab"] = vals.astype(np.int64, copy=False).reshape((self.size,) * (self.n + 1))
 
     def q_table(self) -> np.ndarray:
-        tab = self._cache.get("qtab")
-        if tab is None:
-            tab = np.asarray(self.q_flat, dtype=np.int64).reshape((self.size,) * (self.n + 1))
-            self._cache["qtab"] = tab
-        return tab
+        return self._cache["qtab"]
 
     def q_idx(self, s: int, branches: Sequence[int]) -> int:
-        return int(self.q_table()[tuple([s, *branches])])
+        return int(gather(self.q_table(), [s, *branches]))
 
     def q_vec(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:
-        return self.q_table()[tuple([s, *branches])]
+        return gather(self.q_table(), [s, *branches])
 
     def element_label(self, i: int) -> str:
         return f"#{i}"
@@ -369,7 +404,7 @@ def _first_ranks(vals: np.ndarray) -> tuple:
 def subalgebra_closure(alg: PowerAlgebra, gens: Iterable[Element]) -> PowerAlgebra:
     """Smallest carrier containing constants and gens, closed under q; gens must lie in alg.
     It is the diagonal of the coordinate classes that the gens cut out, read off n^j."""
-    gens = [tuple(g) for g in gens]
+    gens = list(map(tuple, gens))
     for g in gens:  # a subpower's _power raises ShapeError if its carrier is open
         alg._check_element(g) if alg._power() is alg else alg.index(g)
     first, cls = _first_ranks(np.array([alg.constant(1), *gens], dtype=np.int64).T)

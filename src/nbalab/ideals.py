@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionError, PowerAlgebra, element_index, generator
+from .core import DimensionError, PowerAlgebra, element_index, gather, generator
 from .skew import boolean_center, reduct, _label_tuple
 from .terms import t_branches
 from .transforms import CenterParams
@@ -110,7 +110,7 @@ def total_congruence(alg) -> Congruence:
 def _violations(tab: np.ndarray, lab: np.ndarray) -> tuple:
     """The pairs (lab[q(xs)], lab[q(lab[xs])]) that differ; none iff lab's blocks are compatible."""
     img = lab[tab]
-    rep = img[np.ix_(*[lab] * tab.ndim)]
+    rep = gather(img, np.ix_(*[lab] * tab.ndim))
     bad = img != rep
     return img[bad], rep[bad]
 
@@ -542,10 +542,10 @@ def boolean_ideal_filter_view(alg, ideal: Multideal):
     negs[ba.neg[i2]] = True
     laws = (
         ("the ideal holds 0", i2[ba.zero]),
-        ("the ideal is closed under join", i2[ba.join[np.ix_(i2, i2)]].all()),
+        ("the ideal is closed under join", i2[gather(ba.join, np.ix_(i2, i2))].all()),
         ("the ideal is downward closed", i2[ba.meet[:, i2]].all()),
         ("the filter is the ideal's negations", np.array_equal(i1, negs)),
-        ("the filter is closed under meet", i1[ba.meet[np.ix_(i1, i1)]].all()),
+        ("the filter is closed under meet", i1[gather(ba.meet, np.ix_(i1, i1))].all()),
         ("the filter is upward closed", i1[ba.join[:, i1]].all()),
     )
     for law, holds in laws:

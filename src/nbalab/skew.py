@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import terms
-from .core import PowerAlgebra, TableAlgebra, check_table_bound, element_index
+from .core import PowerAlgebra, TableAlgebra, check_table_bound, element_index, gather
 from .terms import (BINARY, DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, SKEW_KINDS,
                     first_witness, q_ops, star_chain, t_branches)
 from .transforms import CenterParams
@@ -130,7 +130,7 @@ def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
         t = _t_table(alg, frozenset({i}))
         zero = alg.constant_index(i)
         a, b = np.ix_(range(alg.size), range(alg.size))
-        meet, join, minus = (t[BINARY[k](a, b, zero, None)] for k in SKEW_KINDS)
+        meet, join, minus = (gather(t, BINARY[k](a, b, zero, None)) for k in SKEW_KINDS)
         return SkewTable(alg.size, meet, join, minus, zero, _label_tuple(alg), q3=t, index=i)
     if kind == "church":
         dset = frozenset(d)
@@ -156,7 +156,7 @@ def nba_of_star(st: StarTable) -> TableAlgebra:
     """Table-level companion in the other direction, via the nested selector."""
     n, s = st.n, st.size
     grids = np.indices((s,) * (n + 1)).reshape(n + 1, -1)
-    acc = star_chain(lambda i, x, a, b: st.tables[i - 1][x, a, b], grids[0], grids[1:])
+    acc = star_chain(lambda i, x, a, b: gather(st.tables[i - 1], (x, a, b)), grids[0], grids[1:])
     return TableAlgebra(n, s, st.zeros, tuple(int(v) for v in acc))
 
 
@@ -541,18 +541,18 @@ def boolean_center(alg, cp: CenterParams) -> BooleanCenter:
     ej = alg.constant_index(j)
     ei = sk.zero
     carrier = np.arange(sk.size)
-    members = carrier[sk.meet[carrier, ej] == carrier]
+    members = carrier[gather(sk.meet, (carrier, ej)) == carrier]
     loc = np.full(sk.size, -1, dtype=np.int64)  # local index, -1 off the center
     loc[members] = np.arange(len(members))
     grid = np.ix_(members, members)
-    ops = {"meet": sk.meet[grid], "join": sk.join[grid],
-           "negation": sk.q3[members, ei, ej]}  # -x = t_i(x, e_i, e_j)
+    ops = {"meet": gather(sk.meet, grid), "join": gather(sk.join, grid),
+           "negation": gather(sk.q3, (members, ei, ej))}  # -x = t_i(x, e_i, e_j)
     for name, out in ops.items():
         bad = np.argwhere(loc[out] < 0)
         if bad.size:
             args = ", ".join(sk.labels[a] for a in members[bad[0]])
             raise ValueError(f"the Boolean center is not closed under {name}: {name}({args})"
-                             f" = {sk.labels[out[tuple(bad[0])]]} lies outside it")
+                             f" = {sk.labels[gather(out, bad[0])]} lies outside it")
     for k, e in ((i, ei), (j, ej)):
         if loc[e] < 0:
             raise ValueError(f"the Boolean center does not contain e{k}")

@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import generator
+from .core import gather, generator
 
 DEFAULT_BUDGET = 10**7
 DEFAULT_SAMPLES = 10**5
@@ -430,7 +430,7 @@ def run(program: Program, env: dict, ops: dict) -> tuple:
     for op, args, dead in program.steps:
         if args is not None:
             f, xs = ops[op], [vals[a] for a in args]
-            vals.append(f[tuple(xs)] if isinstance(f, np.ndarray) else f(*xs))
+            vals.append(gather(f, xs) if isinstance(f, np.ndarray) else f(*xs))
             xs = None  # hold no argument past its last read
         elif op in env or op in ops:
             vals.append(env[op] if op in env else ops[op])

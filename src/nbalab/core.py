@@ -176,8 +176,10 @@ class PowerAlgebra:
         """q on base-n codes of value vectors, one digit (point) at a time.
 
         The arguments broadcast like a ufunc's.  Each point picks its branch
-        digit with a chain of np.where, which holds one branch digit at a time.
+        digit with a chain of np.where, which holds one branch digit at a time.  They are
+        cast to int64 first (free on int64), so that a narrow index dtype cannot overflow.
         """
+        s, branches = np.asarray(s, np.int64), [np.asarray(b, np.int64) for b in branches]
         m, n = self.points, self.n
         out = np.zeros(np.broadcast_shapes(np.shape(s), *map(np.shape, branches)), np.int64)
         for p in range(m):

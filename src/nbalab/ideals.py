@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionError, PowerAlgebra, element_index, gather, generator
+from .core import DimensionError, PowerAlgebra, check_table_bound, element_index, gather, generator
 from .skew import boolean_center, reduct, _label_tuple
 from .terms import t_branches
 from .transforms import CenterParams
@@ -131,16 +131,32 @@ def _merge(lab: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def congruence_generated(alg, pairs: Iterable[tuple]) -> Congruence:
     """Smallest congruence containing the given pairs of carrier indices or elements.
 
-    Whole-table rounds merge q(xs) with q(lab[xs]) wherever their blocks differ: each such
-    pair is in the generated congruence (xs ~ lab[xs]), and the fixpoint is compatible.
+    With a Stone certificate it is the kernel of the projection onto the coordinates
+    where every pair agrees; without one, _generated_by_rounds computes it.
     """
     ab = np.array([(element_index(alg, a), element_index(alg, b)) for a, b in pairs],
                   dtype=np.int64).reshape(-1, 2).T
+    if (cert := stone_certificate(alg)) is None:
+        return _generated_by_rounds(alg, ab)
+    return _kernel(alg, cert, (cert[ab[0]] == cert[ab[1]]).all(0))
+
+
+def _generated_by_rounds(alg, ab: np.ndarray) -> Congruence:
+    """The congruence generated by the pairs (ab[0][i], ab[1][i]), from the q table alone.
+
+    Whole-table rounds merge q(xs) with q(lab[xs]) wherever their blocks differ: each such
+    pair is in the generated congruence (xs ~ lab[xs]), and the fixpoint is compatible.
+    """
     lab = np.arange(alg.size)
     while ab[0].size:
         lab = _merge(lab, *ab)
         ab = _violations(alg.q_table(), lab)
     return Congruence(alg, tuple(lab.tolist()))
+
+
+def _kernel(alg, cert: np.ndarray, keep) -> Congruence:
+    """The kernel of the projection of the coordinates cert onto the columns keep marks."""
+    return Congruence(alg, tuple(((cert * keep) @ alg.n ** np.arange(cert.shape[1])).tolist()))
 
 
 def join_congruences(alg, th1: Congruence, th2: Congruence) -> Congruence:
@@ -149,15 +165,27 @@ def join_congruences(alg, th1: Congruence, th2: Congruence) -> Congruence:
 
 
 def all_congruences(alg) -> list:
-    """Every congruence, as joins of principal ones; deterministic order."""
+    """Every congruence, sorted by falling block count, then blocks.
+
+    With a Stone certificate over k coordinates they are the 2^k kernels of the
+    projections onto sets of coordinates; without one, _congruences_by_pairs finds them.
+    """
     size = alg.size
     if size > CARRIER_BOUND:
         raise ValueError(f"carrier size {size} exceeds bound {CARRIER_BOUND}")
+    cert = stone_certificate(alg)
+    found = _congruences_by_pairs(alg) if cert is None else [
+        _kernel(alg, cert, keep) for keep in np.ndindex((2,) * cert.shape[1])]
+    return sorted(found, key=lambda t: (-t.num_blocks, t.blocks))
+
+
+def _congruences_by_pairs(alg) -> list:
+    """Every congruence, as joins of the principal ones, from the q table alone."""
     found = {diagonal_congruence(alg).blocks: diagonal_congruence(alg)}
     principal = []
-    for a in range(size):
-        for b in range(a + 1, size):
-            th = congruence_generated(alg, [(a, b)])
+    for a in range(alg.size):
+        for b in range(a + 1, alg.size):
+            th = _generated_by_rounds(alg, np.array([[a], [b]]))
             if th.blocks not in found:
                 found[th.blocks] = th
                 principal.append(th)
@@ -171,7 +199,34 @@ def all_congruences(alg) -> list:
                     found[j.blocks] = j
                     new.append(j)
         frontier = new
-    return sorted(found.values(), key=lambda t: (-t.num_blocks, t.blocks))
+    return list(found.values())
+
+
+def stone_certificate(alg) -> Optional[np.ndarray]:
+    """The (size, k) coordinates in 0..n-1 of an isomorphism of alg onto n^k, k >= 1, or None.
+
+    A power or subpower is n^j index for index (PowerAlgebra._power), so its coordinates
+    are the base-n digits of its indices, and no q table is built.  A table's are
+    stone_embed's images if they are a bijection onto n^k that sends constants to
+    constants and preserves q; other tables, and those on which the attempt raises
+    ValueError, get None, which refutes nothing.  Cached in alg._cache.
+    """
+    if "stone" in alg._cache:
+        return alg._cache["stone"]
+    if isinstance(alg, PowerAlgebra):
+        j = alg._power().points
+        check_table_bound("the Stone certificate", alg.size, alg.size * j)
+        cert = np.arange(alg.size)[:, None] // alg.n ** np.arange(j - 1, -1, -1) % alg.n
+    else:
+        try:
+            emb = stone_embed(alg)
+            ok = emb.is_isomorphism and emb.preserves_q() and emb.target.constants == tuple(
+                emb.images[alg.constant_index(k)] for k in range(1, alg.n + 1))
+            cert = np.array(emb.images, dtype=np.int64).reshape(alg.size, -1) - 1 if ok else None
+        except ValueError:
+            cert = None
+    alg._cache["stone"] = cert if cert is not None and cert.shape[1] else None
+    return alg._cache["stone"]
 
 
 # -- multideals ---------------------------------------------------------
@@ -458,13 +513,15 @@ def is_hom_onto_generator(alg, h: Sequence[int]) -> bool:
 
 
 def all_homs_onto_generator(alg) -> list:
-    """The homs onto generator(n), one per ultramultideal, sorted.
+    """The homs onto generator(n), sorted: with a Stone certificate its coordinate
+    projections, without one the homs of the ultramultideals (_ultra_homs).
 
     Homs that separate the points embed alg in a power n^k, so alg is an nBA and
     the bijection with its ultramultideals makes the list complete; homs that do
     not separate them prove nothing, and the list is refused.
     """
-    homs = _ultra_homs(alg)
+    cert = stone_certificate(alg)
+    homs = _ultra_homs(alg) if cert is None else list(map(tuple, (cert.T + 1).tolist()))
     if len({tuple(h[x] for h in homs) for x in range(alg.size)}) < alg.size:
         raise ValueError(f"not an nBA: its {len(homs)} homs onto generator({alg.n}) "
                          f"do not separate its {alg.size} elements")

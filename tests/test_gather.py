@@ -235,3 +235,22 @@ def test_carrier_errors_on_a_large_carrier():
         assert str(exc.value) == want
     alg = PowerAlgebra(2, 14, tuple(carrier))
     assert alg._power() == core.power_algebra(2, 12)
+
+
+@pytest.mark.parametrize("n, m", [(2, 9), (2, 17), (3, 6)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+def test_the_digit_kernel_takes_narrow_index_dtypes(n, m, dtype):
+    """q_vec on a power past GATHER_TABLE_MAX runs _q_codes, whose place values outgrow
+    uint8 at 2^9 and uint16 at 2^17; each index dtype gives the int64 result."""
+    alg = core.power_algebra(n, m)
+    assert alg.size ** (n + 1) > core.GATHER_TABLE_MAX
+    rng = np.random.default_rng(m)
+    top = min(alg.size, np.iinfo(dtype).max + 1)
+    args = rng.integers(0, top, (n + 1, 50))
+    want = alg.q_vec(args[0], list(args[1:]))
+    got = alg.q_vec(args[0].astype(dtype), list(args[1:].astype(dtype)))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    if alg.size <= 1 << 10:  # and q on element tuples agrees
+        els = alg.elements()
+        assert [els[r] for r in want[:5]] == [alg.q(els[s], [els[b] for b in bs])
+                                              for s, *bs in args.T[:5].tolist()]

@@ -166,8 +166,9 @@ class PowerAlgebra:
         return out
 
     def q_idx(self, s: int, branches: Sequence[int]) -> int:
-        els = self.elements()
-        return self.index(self.q(els[s], [els[b] for b in branches]))
+        if len(branches) != self.n or not all(0 <= i < self.size for i in (s, *branches)):
+            raise IndexError(f"not {self.n + 1} indices in 0..{self.size - 1}: {[s, *branches]}")
+        return int(self.q_vec(s, branches))
 
     def constant_index(self, k: int) -> int:
         return self.index(self.constant(k))
@@ -214,13 +215,13 @@ class PowerAlgebra:
         element's.  With each projection ranked by the first element that has it, the
         least mixed-radix code (a Python int) of n ranks that no element has is the answer.
         """
-        for s, x in enumerate(vals):
+        for el, x in zip(self.carrier, vals):
             firsts, ranks = zip(*(_first_ranks(vals[:, x == k]) for k in range(1, self.n + 1)))
             place = [math.prod(len(f) for f in firsts[k + 1:]) for k in range(self.n)]
             codes = np.unique(sum(r.astype(object) * p for r, p in zip(ranks, place)))
             gap = int(np.append(codes != np.arange(len(codes)), True).argmax())
             if gap < place[0] * len(firsts[0]):
-                self.q_idx(s, [int(f[gap // p % len(f)]) for f, p in zip(firsts, place)])
+                self.q(el, [self.carrier[f[gap // p % len(f)]] for f, p in zip(firsts, place)])
 
     def q_table(self) -> np.ndarray:
         """Dense (size,)*(n+1) table of q over carrier indices; ShapeError if not closed."""

@@ -205,10 +205,11 @@ def _congruences_by_pairs(alg) -> list:
 def stone_certificate(alg) -> Optional[np.ndarray]:
     """The (size, k) coordinates in 0..n-1 of an isomorphism of alg onto n^k, k >= 1, or None.
 
-    A power or subpower is n^j index for index (PowerAlgebra._power), so its coordinates
-    are the base-n digits of its indices, and no q table is built.  A table's are
-    stone_embed's images if they are a bijection onto n^k that sends constants to
-    constants and preserves q; other tables, and those on which the attempt raises
+    A power or subpower is n^j index for index (PowerAlgebra._power): its coordinates are
+    the base-n digits of its indices, and no q table is built.  A table's are stone_embed's
+    images if they are a bijection onto n^k, which is then an isomorphism sending e_k to e_k:
+    each hom passed is_hom_onto_generator (onto 1..n, e_k to k, q kept on the whole table),
+    and q on n^k is coordinatewise.  Other tables, and those on which the attempt raises
     ValueError, get None, which refutes nothing.  Cached in alg._cache.
     """
     if "stone" in alg._cache:
@@ -220,9 +221,8 @@ def stone_certificate(alg) -> Optional[np.ndarray]:
     else:
         try:
             emb = stone_embed(alg)
-            ok = emb.is_isomorphism and emb.preserves_q() and emb.target.constants == tuple(
-                emb.images[alg.constant_index(k)] for k in range(1, alg.n + 1))
-            cert = np.array(emb.images, dtype=np.int64).reshape(alg.size, -1) - 1 if ok else None
+            cert = (np.array(emb.images, dtype=np.int64).reshape(alg.size, -1) - 1
+                    if emb.is_isomorphism else None)
         except ValueError:
             cert = None
     alg._cache["stone"] = cert if cert is not None and cert.shape[1] else None

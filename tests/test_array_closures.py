@@ -408,6 +408,33 @@ def test_a_carrier_loads_iff_it_is_its_own_closure(n, m):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("n, m", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (4, 2)])
+def test_an_open_carrier_gets_qs_error_at_its_first_escape(n, m):
+    """The subsets above again: the first argument tuple (C order, scrutinee slowest)
+    whose value an open carrier lacks, found by the digit kernel over all tuples, gives
+    the element-level q's ShapeError; loading the carrier raises the same."""
+    full = core.power_algebra(n, m)
+    opened = 0
+    for carrier in constant_holding_subsets(n, m, 100 * n + m, 260):
+        codes = np.array([full.index(e) for e in carrier], dtype=np.int64)
+        axes = [codes.reshape((-1,) + (1,) * (n - a)) for a in range(n + 1)]
+        res = sum(full._q_codes(axes[0], [axes[k + 1] if j == k else 0 for j in range(n)])
+                  for k in range(n))
+        missing = np.argwhere(~np.isin(res, codes))
+        if not missing.size:
+            continue
+        opened += 1
+        s, *bs = missing[0].tolist()
+        alg = core.PowerAlgebra(n, m, carrier)
+        with pytest.raises(ShapeError) as want:
+            alg.q(carrier[s], [carrier[b] for b in bs])
+        for load in (lambda: core.algebra_from_json(alg.to_json()), alg.q_table):
+            with pytest.raises(ShapeError) as got:
+                load()
+            assert str(got.value) == str(want.value), carrier
+    assert opened >= 100
+
+
 def test_closure_of_an_outside_generator_raises():
     diag = core.subalgebra_closure(A32, [])
     assert diag.carrier == ((1, 1), (2, 2), (3, 3))

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from nbalab import core
+from nbalab import core, skew
 from nbalab.cli import main
+from test_certified_structure import changed_mutations
 
 
 @pytest.fixture
@@ -256,12 +257,23 @@ def test_center_not_closed_exits_1_with_a_reason(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["congruences", "multideals"])
-def test_lattice_commands_audit_a_table_first(capsys, mutated_table_file, command):
+def test_lattice_commands_audit_a_table_first(capsys, tmp_path, mutated_table_file, command):
     code = main([command, "--algebra", mutated_table_file])
     captured = capsys.readouterr()
     error = json.loads(captured.out)["error"]
     assert code == 1 and error.startswith("not an nBA: B")
     assert "Traceback" not in captured.err
+    # seeded one-entry mutations of 2^3 and 3^2 get no certificate and the audit's refutation
+    path = tmp_path / "mutant.json"
+    for n, m in ((2, 3), (3, 2)):
+        for key, mutant in changed_mutations(core.power_algebra(n, m), n * 100 + m, 60):
+            fail = skew.check_axioms(mutant, "NBA").first_failure()
+            path.write_text(json.dumps(mutant.to_json()))
+            code = main([command, "--algebra", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1 and "Traceback" not in captured.err, key
+            assert json.loads(captured.out) == {
+                "error": f"not an nBA: {fail.name} fails at {fail.counterexample}"}, key
 
 
 def test_lattice_commands_accept_the_table_of_a_power(capsys, tmp_path):

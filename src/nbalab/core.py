@@ -174,22 +174,20 @@ class PowerAlgebra:
         return self.index(self.constant(k))
 
     def _q_codes(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:
-        """q on base-n codes of value vectors, one digit (point) at a time.
+        """q on base-n codes of value vectors.  Each digit (point) of q(x, ys) is the digit
+        of the branch y_k that x's digit selects there, so q is a sum over the branches.
 
-        The arguments broadcast like a ufunc's.  Each point picks its branch
-        digit with a chain of np.where, which holds one branch digit at a time.  They are
-        cast to int64 first (free on int64), so that a narrow index dtype cannot overflow.
+        The arguments broadcast like a ufunc's; they are cast to int64 first (free on int64),
+        so that a narrow index dtype cannot overflow.  Branch k's sum is worked at the shape
+        of x and y_k alone, so the peak is one result plus one branch's partials.
         """
         s, branches = np.asarray(s, np.int64), [np.asarray(b, np.int64) for b in branches]
         m, n = self.points, self.n
+        shifts = [n**p for p in range(m)]
+        sels = [s // shift % n for shift in shifts]  # the scrutinee's digits, taken once
         out = np.zeros(np.broadcast_shapes(np.shape(s), *map(np.shape, branches)), np.int64)
-        for p in range(m):
-            shift = n ** (m - 1 - p)
-            sel = s // shift % n
-            pick = branches[-1] // shift % n
-            for k in range(n - 2, -1, -1):
-                pick = np.where(sel == k, branches[k] // shift % n, pick)
-            out += pick * shift
+        for k, b in enumerate(branches):
+            out += sum((sel == k) * (b // shift % n * shift) for sel, shift in zip(sels, shifts))
         return out
 
     def _power(self) -> "PowerAlgebra":
@@ -224,18 +222,15 @@ class PowerAlgebra:
                 self.q(el, [self.carrier[f[gap // p % len(f)]] for f, p in zip(firsts, place)])
 
     def q_table(self) -> np.ndarray:
-        """Dense (size,)*(n+1) table of q over carrier indices; ShapeError if not closed."""
+        """Dense (size,)*(n+1) table of q over carrier indices; ShapeError if not closed.
+        A full power's indices are its codes: its table is _q_codes on open grids, where
+        each branch's partials are size^2 planes and only the result is table-sized."""
         if self.carrier is not None:
             return self._power().q_table()
         if "qtab" not in self._cache:
             check_table_bound("the q table", self.size, self.size ** (self.n + 1))
-            # a full power's indices are its codes; each digit comes from one branch:
-            # q(x, ys) = sum over k of q(x, 0, .., y_k, .., 0)
-            axes = [np.arange(self.size).reshape((-1,) + (1,) * (self.n - a))
-                    for a in range(self.n + 1)]
-            self._cache["qtab"] = sum(
-                self._q_codes(axes[0], [axes[k + 1] if j == k else 0 for j in range(self.n)])
-                for k in range(self.n))
+            grid = np.ix_(*[np.arange(self.size)] * (self.n + 1))
+            self._cache["qtab"] = self._q_codes(grid[0], grid[1:])
         return self._cache["qtab"]
 
     def q_vec(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:

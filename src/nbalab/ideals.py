@@ -529,8 +529,17 @@ def all_homs_onto_generator(alg) -> list:
 
 
 def _ultra_homs(alg) -> list:
-    """hom_of_ultra of each ultramultideal, in all_ultramultideals' order."""
-    return [hom_of_ultra(u) for u in all_ultramultideals(alg)]
+    """hom_of_ultra of each ultramultideal, in all_ultramultideals' order.  The list, or
+    the ValueError raised building it, is kept in alg._cache and given again."""
+    if "ultra_homs" not in alg._cache:
+        try:
+            alg._cache["ultra_homs"] = [hom_of_ultra(u) for u in all_ultramultideals(alg)]
+        except ValueError as exc:
+            alg._cache["ultra_homs"] = exc
+    homs = alg._cache["ultra_homs"]
+    if isinstance(homs, ValueError):
+        raise homs
+    return list(homs)
 
 
 def is_prime(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2)) -> bool:

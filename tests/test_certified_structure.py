@@ -226,6 +226,38 @@ def test_an_uncertified_tables_failure_is_cached_too(monkeypatch):
     assert calls == [mutant]
 
 
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _homs_by_the_engine(alg):
+    """all_homs_onto_generator of an uncertified table, from a fresh run of the engine."""
+    homs = [ideals.hom_of_ultra(u) for u in ideals.all_ultramultideals(alg)]
+    if len({tuple(h[x] for h in homs) for x in range(alg.size)}) < alg.size:
+        raise ValueError(f"not an nBA: its {len(homs)} homs onto generator({alg.n}) "
+                         f"do not separate its {alg.size} elements")
+    return sorted(homs)
+
+
+def test_an_uncertified_table_runs_the_ultramultideal_engine_once(monkeypatch):
+    flat = tuple(ys[0] if x in (0, 2) else ys[1] for x, *ys in itertools.product(range(3), repeat=3))
+    tables = [mutant for _, mutant in changed_mutations(core.power_algebra(2, 3), 23, 20)]
+    tables.append(core.TableAlgebra(2, 3, (0, 1), flat))
+    twins = [core.TableAlgebra(tab.n, tab.size, tab.constants, tab.q_flat) for tab in tables]
+    wants = [_outcome(lambda: _homs_by_the_engine(twin)) for twin in twins]
+    calls, engine = [], ideals.all_ultramultideals
+    monkeypatch.setattr(ideals, "all_ultramultideals", lambda alg: calls.append(alg) or engine(alg))
+    for tab, want in zip(tables, wants):
+        calls.clear()
+        assert stone_certificate(tab) is None
+        assert _outcome(lambda: all_homs_onto_generator(tab)) == want
+        assert calls == [tab]
+    assert len(set(wants)) == 2  # the engine's own refusal, and homs that do not separate
+
+
 def test_certified_answers_past_the_table_bound():
     """5^2's q table has 25^6 entries, past TABLE_BOUND; its coordinates have 50."""
     alg = core.power_algebra(5, 2)

@@ -276,6 +276,25 @@ def test_lattice_commands_audit_a_table_first(capsys, tmp_path, mutated_table_fi
                 "error": f"not an nBA: {fail.name} fails at {fail.counterexample}"}, key
 
 
+def test_a_table_the_sampled_audit_passes_is_refused_without_a_certificate(capsys, tmp_path):
+    """One entry of 2^7's table changed: B2 and B3 are only sampled on 128 elements and
+    find nothing, but the table is no power of the generator and gets no certificate."""
+    table = core.table_of_power(core.power_algebra(2, 7))
+    assert table.q_table()[82, 38, 101] == 100
+    mutant = table.mutate((82, 38, 101), 83)
+    assert skew.check_axioms(mutant, "NBA").ok
+    alg_path, cand_path = tmp_path / "mutant.json", tmp_path / "cand.json"
+    alg_path.write_text(json.dumps(mutant.to_json()))
+    cand_path.write_text(json.dumps({"components": [[0], [127]]}))
+    for argv in (["congruences", "--algebra", str(alg_path)],
+                 ["multideals", "--algebra", str(alg_path), "--validate", str(cand_path)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.err, argv
+        error = json.loads(captured.out)["error"]
+        assert error.startswith("not an nBA:") and "no Stone certificate" in error, argv
+
+
 def test_lattice_commands_accept_the_table_of_a_power(capsys, tmp_path):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(core.table_of_power(core.power_algebra(2, 2)).to_json()))

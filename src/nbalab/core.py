@@ -10,8 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -63,10 +62,9 @@ def gather(tab: np.ndarray, args: Sequence) -> np.ndarray:
     return tab.take(idx)
 
 
-def _check_dim(n: int) -> int:
+def _check_dim(n: int) -> None:
     if not isinstance(n, int) or n < 2:
         raise DimensionError(f"dimension must be an integer >= 2, got {n!r}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -256,42 +254,44 @@ class PowerAlgebra:
                 "carrier": [list(e) for e in self.carrier]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableAlgebra:
     """A raw operation-table algebra over {0..size-1}, for axiom auditing.
 
-    Unlike PowerAlgebra, a TableAlgebra may fail the defining identities;
-    that is the point of having it.
+    Unlike PowerAlgebra, it may fail the defining identities: that is the point of
+    having it. Its q table is one int64 array, q_table(); tables compare by identity.
     """
 
     n: int
     size: int
-    constants: tuple  # n carrier indices, constants[k-1] is e_k
-    q_flat: tuple  # row-major, length size**(n+1)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    constants: tuple  # n integer carrier indices, constants[k-1] is e_k
+    q: InitVar[Sequence]  # row-major, length size**(n+1)
+    _cache: dict = field(default_factory=dict, repr=False)
+    q_idx = PowerAlgebra.q_idx  # one q_idx for both, with the power's index check
 
-    def __post_init__(self):
+    def __post_init__(self, q):
         _check_dim(self.n)
         if len(self.constants) != self.n:
             raise ValueError(f"expected {self.n} constants")
         for c in self.constants:
-            if not 0 <= c < self.size:
+            if type(c) is bool or not isinstance(c, (int, np.integer)) or not 0 <= c < self.size:
                 raise ValueError(f"constant index {c} out of range")
-        if len(self.q_flat) != self.size ** (self.n + 1):
+        if len(q) != self.size ** (self.n + 1):
             raise ValueError("q table has wrong length")
-        vals = np.asarray(self.q_flat)
+        vals = np.array(q)  # a copy, also of an array
         if vals.dtype.kind not in "biuf":  # compare strings, complex numbers as Python does
-            vals = np.asarray(self.q_flat, dtype=object)
+            vals = np.array(q, dtype=object)
         bad = ~((0 <= vals) & (vals < self.size))
         if bad.any():
-            raise ValueError(f"table entry {self.q_flat[int(bad.argmax())]} out of range")
+            raise ValueError(f"table entry {q[int(bad.argmax())]} out of range")
         self._cache["qtab"] = vals.astype(np.int64, copy=False).reshape((self.size,) * (self.n + 1))
 
     def q_table(self) -> np.ndarray:
         return self._cache["qtab"]
 
-    def q_idx(self, s: int, branches: Sequence[int]) -> int:
-        return int(gather(self.q_table(), [s, *branches]))
+    @property
+    def q_flat(self) -> tuple:
+        return tuple(self.q_table().ravel().tolist())
 
     def q_vec(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:
         return gather(self.q_table(), [s, *branches])
@@ -308,14 +308,14 @@ class TableAlgebra:
         return self.constants[k - 1]
 
     def mutate(self, key: tuple, value: int) -> "TableAlgebra":
-        """Copy with one q entry replaced (mutation testing helper)."""
-        flat = list(self.q_flat)
-        flat[int(np.ravel_multi_index(key, (self.size,) * (self.n + 1)))] = value
-        return TableAlgebra(self.n, self.size, self.constants, tuple(flat))
+        """A new table with value spliced in at key and checked (mutation testing helper)."""
+        i, q = np.ravel_multi_index(key, self.q_table().shape), self.q_table().ravel()
+        return TableAlgebra(self.n, self.size, self.constants,
+                            np.concatenate([q[:i], [value], q[i + 1:]]))
 
     def to_json(self) -> dict:
         return {"n": self.n, "kind": "table", "size": self.size,
-                "constants": list(self.constants), "q": list(self.q_flat)}
+                "constants": list(self.constants), "q": self.q_table().ravel().tolist()}
 
 
 def element_index(alg, x) -> int:
@@ -325,7 +325,7 @@ def element_index(alg, x) -> int:
         return alg.index(tuple(x))
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"{x!r} is neither a carrier index nor an element")
-    i = operator.index(x)
+    i = int(x)  # a Python or numpy integer, as just checked
     if not 0 <= i < alg.size:
         raise ValueError(f"element index {i} out of 0..{alg.size - 1}")
     return i
@@ -350,7 +350,7 @@ def power_algebra(n: int, m: int) -> PowerAlgebra:
 def table_of_power(alg: PowerAlgebra) -> TableAlgebra:
     """Materialise a PowerAlgebra as an explicit TableAlgebra."""
     consts = tuple(alg.index(c) for c in alg.constants)
-    return TableAlgebra(alg.n, alg.size, consts, tuple(int(v) for v in alg.q_table().ravel()))
+    return TableAlgebra(alg.n, alg.size, consts, alg.q_table().ravel())
 
 
 # -- n-subsets ---------------------------------------------------------

@@ -157,7 +157,7 @@ def nba_of_star(st: StarTable) -> TableAlgebra:
     n, s = st.n, st.size
     grids = np.indices((s,) * (n + 1)).reshape(n + 1, -1)
     acc = star_chain(lambda i, x, a, b: gather(st.tables[i - 1], (x, a, b)), grids[0], grids[1:])
-    return TableAlgebra(n, s, st.zeros, tuple(int(v) for v in acc))
+    return TableAlgebra(n, s, st.zeros, acc)
 
 
 # -- the audit engine -----------------------------------------------------

@@ -140,8 +140,11 @@ def test_floats_and_bools_in_range_load_truncated(entries, stored):
     want = gen2_flat()
     for i, v in stored.items():
         want[i] = v
-    tab = table(flat).q_table()
+    alg = table(flat)
+    tab = alg.q_table()
     assert tab.dtype == np.int64 and tab.ravel().tolist() == want
+    assert alg.q_flat == tuple(want)  # the tuple view reads the one array
+    assert core.algebra_from_json(alg.to_json()).q_flat == alg.q_flat
 
 
 def test_an_all_bool_table_loads_as_zeros_and_ones():

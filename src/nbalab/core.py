@@ -7,6 +7,7 @@ n-partition of the point set (block k = points carrying value k).
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
@@ -177,16 +178,24 @@ class PowerAlgebra:
 
         The arguments broadcast like a ufunc's; they are cast to int64 first (free on int64),
         so that a narrow index dtype cannot overflow.  Branch k's sum is worked at the shape
-        of x and y_k alone, so the peak is one result plus one branch's partials.
+        of x and y_k alone, and the result is the running sum of these partials at the shape
+        they span so far: it grows into a new array, else adds in place.  So the peak is one
+        result plus one branch's partials, and on open grids (q_table) only the last growth
+        writes a result-sized array.
         """
         s, branches = np.asarray(s, np.int64), [np.asarray(b, np.int64) for b in branches]
         m, n = self.points, self.n
         shifts = [n**p for p in range(m)]
         sels = [s // shift % n for shift in shifts]  # the scrutinee's digits, taken once
-        out = np.zeros(np.broadcast_shapes(np.shape(s), *map(np.shape, branches)), np.int64)
+        out = np.zeros((), np.int64)
         for k, b in enumerate(branches):
-            out += sum((sel == k) * (b // shift % n * shift) for sel, shift in zip(sels, shifts))
-        return out
+            part = sum((sel == k) * (b // shift % n * shift) for sel, shift in zip(sels, shifts))
+            if np.broadcast_shapes(out.shape, np.shape(part)) == out.shape:
+                out += part
+            else:
+                out = out + part
+        shape = np.broadcast_shapes(np.shape(s), *map(np.shape, branches))
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def _power(self) -> "PowerAlgebra":
         """The full power this algebra is index for index: itself, or n^j for a carrier
@@ -278,12 +287,14 @@ class TableAlgebra:
                 raise ValueError(f"constant index {c} out of range")
         if len(q) != self.size ** (self.n + 1):
             raise ValueError("q table has wrong length")
-        vals = np.array(q)  # a copy, also of an array
-        if vals.dtype.kind not in "biuf":  # compare strings, complex numbers as Python does
-            vals = np.array(q, dtype=object)
-        bad = ~((0 <= vals) & (vals < self.size))
-        if bad.any():
-            raise ValueError(f"table entry {q[int(bad.argmax())]} out of range")
+        vals = _int64_entries(q)
+        if vals is None or vals.size and (vals.min() < 0 or vals.max() >= self.size):
+            vals = np.array(q)  # a copy, also of an array
+            if vals.dtype.kind not in "biuf":  # compare strings, complex numbers as Python does
+                vals = np.array(q, dtype=object)
+            bad = ~((0 <= vals) & (vals < self.size))
+            if bad.any():
+                raise ValueError(f"table entry {q[int(bad.argmax())]} out of range")
         self._cache["qtab"] = vals.astype(np.int64, copy=False).reshape((self.size,) * (self.n + 1))
 
     def q_table(self) -> np.ndarray:
@@ -316,6 +327,18 @@ class TableAlgebra:
     def to_json(self) -> dict:
         return {"n": self.n, "kind": "table", "size": self.size,
                 "constants": list(self.constants), "q": self.q_table().ravel().tolist()}
+
+
+def _int64_entries(q) -> Optional[np.ndarray]:
+    """q as an int64 array in one pass when q is a list or tuple of integers (Python,
+    bool or numpy) within int64, as array.array reads them; else None.  np.array would
+    first walk q to find a common dtype, which on a tuple of 2^18 ints takes longer."""
+    if not isinstance(q, (list, tuple)):
+        return None
+    try:
+        return np.frombuffer(array.array("q", q), np.int64)
+    except (TypeError, OverflowError):  # a float, string or the like, or an int past int64
+        return None
 
 
 def element_index(alg, x) -> int:
@@ -447,6 +470,11 @@ def algebra_from_json(obj: dict):
         alg._power()  # rejects a carrier that is not closed under q
         return alg
     if kind == "table":
+        q = json_ints(obj["q"], "q")
+        try:  # one pass; an entry past int64 is left for TableAlgebra to name out of range
+            q = np.fromiter(q, np.int64, len(q))
+        except OverflowError:
+            pass
         return TableAlgebra(n, json_int(obj["size"], "size"),
-                            json_ints(obj["constants"], "constants"), json_ints(obj["q"], "q"))
+                            json_ints(obj["constants"], "constants"), q)
     raise ValueError(f"unknown algebra kind {kind!r}")

@@ -11,7 +11,10 @@ variables into ops: that is how the factor and semicentral checks of an
 element reuse the suites' rows, each pinned copy with its own program.
 
 Audits evaluate identities over all assignments of carrier elements
-(vectorised), falling back to deterministic sampling past a budget.
+(vectorised), falling back to deterministic sampling past a budget.  Past
+the budget, the decomposition axioms (NBA B2-B3, SRCA D2-D3 and their
+pinned copies) are decided from the operation table instead, when a
+static bound on its reads fits the budget (Decomposition).
 Assignments stream in chunks of at most 2^16 rows (terms.CHUNK), and an
 axiom's check stops at the first chunk that holds a witness
 (terms.first_witness, shared with terms.check_identity), so the memory
@@ -24,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import terms
-from .core import PowerAlgebra, TableAlgebra, check_table_bound, element_index, gather
+from .core import (TABLE_BOUND, PowerAlgebra, TableAlgebra, check_table_bound, element_index,
+                   gather)
 from .terms import (BINARY, DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, SKEW_KINDS,
                     first_witness, q_ops, star_chain, t_branches)
 from .transforms import CenterParams
@@ -172,6 +176,8 @@ class Axiom:
     lhs: object
     rhs: object
     ops: dict = field(compare=False, repr=False)
+    # (a Decomposition, 2 or 3) for axiom 2 or 3 of one: y first, then its x row by row
+    decomposition: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def program(self) -> terms.Program:
@@ -182,14 +188,20 @@ class Axiom:
 
 
 def _axioms(ops: dict, rows) -> list:
-    """Axioms from rows (name, variables separated by spaces, lhs, rhs)."""
-    return [Axiom(name, tuple(vs.split()), lhs, rhs, ops) for name, vs, lhs, rhs in rows]
+    """Axioms from rows (name, variables separated by spaces, lhs, rhs[, decomposition])."""
+    return [Axiom(name, tuple(vs.split()), lhs, rhs, ops, *dec)
+            for name, vs, lhs, rhs, *dec in rows]
 
 
 def _pin(ax: Axiom, var: str, value: int) -> Axiom:
-    """ax with var no longer quantified but bound to the element value."""
+    """ax with var no longer quantified but bound to the element value.  A decomposition
+    axiom pinned at its decomposing element is decided with it pinned; pinned elsewhere,
+    it is not decided."""
+    dec = ax.decomposition
+    if dec is not None:
+        dec = (dec[0].pin(value), dec[1]) if var == ax.varnames[0] else None
     return replace(ax, varnames=tuple(v for v in ax.varnames if v != var),
-                   ops={**ax.ops, var: value})
+                   ops={**ax.ops, var: value}, decomposition=dec)
 
 
 def _op(name: str):
@@ -238,8 +250,150 @@ class AxiomReport:
         return out
 
 
+# -- decided decomposition axioms --------------------------------------------
+
+
+def decide_decomposition(f: np.ndarray, op: np.ndarray, selectors: Optional[Sequence] = None,
+                         ys: Optional[Sequence] = None) -> tuple:
+    """Decide axioms 2 and 3 of _decomposition_rows for f_y = f[y], y in ys (default: all).
+
+    f has shape (s,)*(k+1) and op (s,)*(m+1); a θ_{y,r} b iff f_y(b, ..., a at r, ..., b)
+    = b.  Axioms 1 and 2 hold at y iff (1) f_y(x, ..., x) = x, (2) each θ_{y,r} is an
+    equivalence, (3) the θ_{y,r} intersect in the diagonal and (4) f_y(x) θ_{y,r} x_r for
+    every x and r; 3 and 4 give 1.  Given them, f_y commutes with op (axiom 3) iff (5)
+    each θ_{y,r} is compatible with op: its labels are the same at every argument tuple
+    and at the tuple of its arguments' least class members, read once per distinct
+    relation (Salibra, Ledda, Paoli and Kowalski, Algebra Universalis 69, 2013).
+
+    Returns axiom 2's and axiom 3's verdicts: True when proved, else a list of (step,
+    candidate witness), the witness being y and then the axiom's x row by row.  Each
+    candidate refutes its axiom wherever axiom 1 holds on the elements it reads, so the
+    caller re-checks it.  Step 4 gives two: from its first failure, and from its first at
+    a constant tuple (x, ..., x).  The second reads axiom 1 only at x and at f_y(x, ..., x),
+    so it still re-checks where axiom 1 fails at x alone, as after a one-entry change of a
+    diagonal entry f_y(x, ..., x).  When steps 1-4 fail, axiom 3's candidates are axiom 2's
+    transposed, x_r0 = σ_r and x_rc = W_cr, for the selectors σ_r with op(σ_r, z_1..z_k)
+    = z_r (e_r in an nBA); by B0 and B4 that turns axiom 3 into axiom 2.
+    """
+    s, k = f.shape[0], f.ndim - 1
+    ys = np.arange(s) if ys is None else np.asarray(ys, dtype=np.int64)
+    el = np.arange(s)
+    a, b = el[:, None], el[None, :]
+
+    def slot(r, u, v):  # (v, ..., u at r, ..., v)
+        return [u if c == r else v for c in range(k)]
+
+    def first(mask):
+        return np.unravel_index(mask.argmax(), mask.shape) if mask.any() else None
+
+    def witness(j, rows):
+        return (int(ys[j]), *(int(x) for row in rows for x in row))
+
+    theta = np.stack([gather(f, [ys[:, None, None], *slot(r, a, b)]) == b for r in range(k)], 1)
+    cands = []
+    if (at := first(theta & ~theta.swapaxes(2, 3))) is not None:  # u θ v, not v θ u
+        j, r, u, v = at
+        cands.append(("symmetry", witness(j, [slot(r, u, v) if t == r else [u] * k
+                                              for t in range(k)])))
+    if (at := first(np.matmul(theta, theta) & ~theta)) is not None:  # u θ v θ w, not u θ w
+        j, r, u, w = at
+        v = (theta[j, r, u] & theta[j, r, :, w]).argmax()
+        cands.append(("transitivity", witness(j, [slot(r, u, v) if t == r else [w] * k
+                                                  for t in range(k)])))
+    if (at := first(theta.all(1) & (a != b))) is not None:
+        j, u, v = at
+        cands.append(("intersection", witness(j, [slot(t, u, v) for t in range(k)])))
+    grid = np.ix_(*[el] * k)
+    jj = np.arange(len(ys)).reshape((-1,) + (1,) * k)
+    fx = gather(f, [ys[jj], *grid])
+    off = ~np.stack([gather(theta[:, r], [jj, fx, grid[r]]) for r in range(k)], 1)
+    fails = [first(off)]
+    if (at := first(off[(slice(None),) * 2 + (el,) * k])) is not None:  # at some (x, ..., x)
+        fails.append((*at[:2], *[at[2]] * k))
+    for j, r, *x in dict.fromkeys(tuple(map(int, at)) for at in fails if at is not None):
+        fxv = int(gather(fx, [j, *x]))
+        cands.append(("step 4", witness(j, [x if t == r else [fxv] * k for t in range(k)])))
+    if cands:
+        if selectors is None:
+            return cands, []
+        transposed = [("transposed", (w[0], *(v for r in range(k) for v in (
+            selectors[r], *(w[1 + c * k + r] for c in range(k)))))) for _, w in cands]
+        return cands, transposed
+    lab = theta.argmax(3).reshape(-1, s)  # the least member of each class
+    for i in np.sort(np.unique(lab, axis=0, return_index=True)[1]):
+        least = lab[i]
+        lo = least[op]
+        x = first(lo != gather(lo, np.ix_(*[least] * op.ndim)))
+        if x is None:
+            continue
+        # walk x to its class minima one argument at a time: some step changes the label
+        x = [int(v) for v in x]
+        for p in range(op.ndim):
+            moved = x[:p] + [int(least[x[p]])] + x[p + 1:]
+            if gather(lo, x) != gather(lo, moved):
+                j, r = divmod(int(i), k)
+                return True, [("step 5", witness(j, [x if t == r else moved for t in range(k)]))]
+            x = moved
+    return True, True
+
+
+@dataclass(eq=False)
+class Decomposition:
+    """f_y = table[y] of arity k, for every element y or for y pinned: the decomposition
+    operations that axioms 2 and 3 of _decomposition_rows make commute with table itself
+    (q in an nBA, t in an SRCA).  The table is built only when a decision reads it."""
+
+    size: int
+    k: int
+    table: Callable  # () -> the (size,)*(k+1) table
+    selectors: Optional[tuple] = None  # σ_r with table(σ_r, z_1..z_k) = z_r, e.g. the e_r
+    y: Optional[int] = None  # the pinned decomposing element; None: every element
+    _pins: dict = field(default_factory=dict, repr=False)
+
+    def fits(self, budget: int) -> bool:
+        """Whether a static bound on the decision's table reads fits budget, and the table
+        TABLE_BOUND.  The bound allows each of the k relations of each decomposing element
+        k + 2 reads of the table; step 5 makes about 3 per distinct relation, and steps
+        1-4 read less."""
+        entries = self.size ** (self.k + 1)
+        ys = self.size if self.y is None else 1
+        return ys * self.k * (self.k + 2) * entries <= budget and entries <= TABLE_BOUND
+
+    @cached_property
+    def verdicts(self) -> tuple:
+        tab = self.table()
+        return decide_decomposition(tab, tab, self.selectors, None if self.y is None else [self.y])
+
+    def pin(self, y: int) -> "Decomposition":
+        """This decomposition with y pinned, one per element, so its axioms share a decision."""
+        if y not in self._pins:
+            self._pins[y] = replace(self, y=y, _pins={})
+        return self._pins[y]
+
+
+def _decided(ax: Axiom, labels) -> Optional[AxiomOutcome]:
+    """ax's outcome from its decomposition's verdict: proved, or refuted by the first
+    candidate that re-checks through ax.check; None when none does."""
+    dec, number = ax.decomposition
+    verdict = dec.verdicts[number - 2]
+    if verdict is True:
+        return AxiomOutcome(ax.name, True, "decided")
+    for tried, (_, wit) in enumerate(verdict, 1):
+        wit = wit if dec.y is None else wit[1:]
+        lhs, rhs = ax.check({name: np.array([a]) for name, a in zip(ax.varnames, wit)})
+        if np.any(lhs != rhs):
+            cex = {name: labels[a] for name, a in zip(ax.varnames, wit)}
+            return AxiomOutcome(ax.name, False, "decided", cex, tried)
+    return None
+
+
 def _run_axiom(ax: Axiom, size: int, labels, budget, samples, seed) -> AxiomOutcome:
     v = len(ax.varnames)
+    dec = getattr(ax, "decomposition", None)  # run_suite also takes bare (name, varnames, check)
+    if size**v > budget and dec is not None and dec[0].fits(budget):
+        out = _decided(ax, labels)
+        if out is not None:
+            return out
     mode = "exhaustive" if size**v <= budget else "sampled"
     differ = lambda chunk: np.not_equal(*ax.check(dict(zip(ax.varnames, chunk))))
     wit, count = first_witness(v, size, mode, budget, samples, seed, differ)
@@ -265,29 +419,32 @@ def nba_axioms(alg) -> list:
     n = alg.n
     xs = [f"x{t}" for t in range(1, n + 1)]
     rows = [(f"B0[{i}]", " ".join(xs), ("q", f"e{i}", *xs), xs[i - 1]) for i in range(1, n + 1)]
-    rows += _decomposition_rows(n, "B")
+    rows += _decomposition_rows(alg, "B")
     rows.append(("B4", "y", ("q", "y", *(f"e{k}" for k in range(1, n + 1))), "y"))
     return _axioms(q_ops(alg), rows)
 
 
-def _decomposition_rows(n: int, prefix: str) -> list:
+def _decomposition_rows(alg, prefix: str) -> list:
     """Axioms 1-3 of the n-ary decomposition operation f = q(y, -, ..., -).
 
     f(x, ..., x) = x; f of the rows of f equals f of the diagonal; f
     commutes with q.  These are the nBA axioms B1-B3; with y pinned to an
-    element e they are the factor axioms D1-D3 of e.
+    element e they are the factor axioms D1-D3 of e.  Axioms 2 and 3 carry
+    alg's Decomposition, with the constants e_r as its selectors.
     """
+    n = alg.n
     ks = range(1, n + 1)
+    dec = Decomposition(alg.size, n, alg.q_table, tuple(alg.constant_index(k) for k in ks))
     f = _op("q")
     y = lambda *args: f("y", *args)
     x = lambda r, c: f"x{r}{c}"
     return [
         (f"{prefix}1", "y x", y(*["x"] * n), "x"),
         (f"{prefix}2", " ".join(["y"] + [x(r, c) for r in ks for c in ks]),
-         y(*(y(*(x(r, c) for c in ks)) for r in ks)), y(*(x(k, k) for k in ks))),
+         y(*(y(*(x(r, c) for c in ks)) for r in ks)), y(*(x(k, k) for k in ks)), (dec, 2)),
         (f"{prefix}3", " ".join(["y"] + [x(r, c) for r in ks for c in range(n + 1)]),
          y(*(f(*(x(r, c) for c in range(n + 1))) for r in ks)),
-         f(*(y(*(x(r, c) for r in ks)) for c in range(n + 1)))),
+         f(*(y(*(x(r, c) for r in ks)) for c in range(n + 1))), (dec, 3)),
     ]
 
 
@@ -329,15 +486,18 @@ def right_handed_axioms(sk: SkewTable) -> list:
 
 
 def srca_axioms(q3: np.ndarray, zero: int, prefix: str = "") -> list:
+    """D1-D3 say that t(w, -, -) is a binary decomposition operation commuting with t."""
     t = _op("t")
+    dec = Decomposition(len(q3), 2, lambda: q3)
     return _axioms({"t": q3, "0": zero}, [
         (prefix + "RCA", "x y", t("0", "x", "y"), "y"),
         (prefix + "semicentral", "x", t("x", "x", "0"), "x"),
         (prefix + "D1", "w x", t("w", "x", "x"), "x"),
-        (prefix + "D2", "w a b c d", t("w", t("w", "a", "b"), t("w", "c", "d")), t("w", "a", "d")),
+        (prefix + "D2", "w a b c d", t("w", t("w", "a", "b"), t("w", "c", "d")), t("w", "a", "d"),
+         (dec, 2)),
         (prefix + "D3", "w a1 b1 c1 a2 b2 c2",
          t("w", t("a1", "b1", "c1"), t("a2", "b2", "c2")),
-         t(t("w", "a1", "a2"), t("w", "b1", "b2"), t("w", "c1", "c2"))),
+         t(t("w", "a1", "a2"), t("w", "b1", "b2"), t("w", "c1", "c2")), (dec, 3)),
         (prefix + "D3-const", "w", t("w", "0", "0"), "0"),
     ])
 
@@ -472,7 +632,7 @@ def equivalence_is_congruence(rel: np.ndarray, tables: Sequence[np.ndarray]) -> 
 
 def _factor_axioms(alg, e: int) -> list:
     """D1-D3 of f = q(e, -, ..., -), which are B1-B3 with y pinned to e, and D3-const."""
-    d1, d2, d3 = (_pin(ax, "y", e) for ax in _axioms(q_ops(alg), _decomposition_rows(alg.n, "D")))
+    d1, d2, d3 = (_pin(ax, "y", e) for ax in _axioms(q_ops(alg), _decomposition_rows(alg, "D")))
     # D3-const: f(e_k, ..., e_k) = e_k for each k, that is D1 at the constants
     const = replace(d1, name="D3-const")
     return [d1, d2, d3] + [_pin(const, "x", alg.constant_index(k)) for k in range(1, alg.n + 1)]
@@ -482,8 +642,10 @@ def is_element_kind(alg, e, kind, i: int = None, budget=DEFAULT_BUDGET,
                     samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED) -> bool:
     """kind in {"factor", "semicentral", "central"}.
 
-    Exponential assignment spaces fall back to deterministic sampling;
-    a True from a sampled run is only probabilistic.
+    The decomposition clauses with e pinned are decided from the table when
+    its reads fit budget (Decomposition): at the default budget on 3^2, 2^5,
+    3^3 and 2^6, not on 4^2.  Other exponential assignment spaces fall back to
+    deterministic sampling; a True from a sampled run is only probabilistic.
     """
     kind = kind.lower()
     e = element_index(alg, e)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -557,11 +558,14 @@ def first_witness(nvars: int, size: int, mode: str, budget: int, samples: int,
     """
     count = 0
     for chunk in assignment_chunks(nvars, size, mode, budget, samples, seed, True):
-        shape = np.broadcast_shapes(*map(np.shape, chunk)) or (1,)  # a scalar chunk is one row
-        count += int(np.prod(shape))
-        bad = np.flatnonzero(np.broadcast_to(differ(chunk), shape))
-        if bad.size:
-            return [int(np.broadcast_to(a, shape).flat[bad[0]]) for a in chunk], count
+        # np.broadcast is the cheap shape, for up to 32 arguments; a scalar chunk is one row
+        shape = (np.broadcast(*chunk).shape if 0 < len(chunk) <= 32
+                 else np.broadcast_shapes(*map(np.shape, chunk))) or (1,)
+        count += math.prod(shape)
+        flags = differ(chunk)
+        if np.any(flags):  # most chunks hold no witness: locate one only where there is
+            bad = np.flatnonzero(np.broadcast_to(flags, shape))[0]
+            return [int(np.broadcast_to(a, shape).flat[bad]) for a in chunk], count
     return None, count
 
 

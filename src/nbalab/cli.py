@@ -108,10 +108,7 @@ def cmd_eval(args) -> int:
     pairs = args.env or []
     points = max((len(v) for _, v in pairs if isinstance(v, tuple)), default=1)
     alg = core.power_algebra(args.n, points)
-    env = {}
-    for name, v in pairs:
-        env[name] = alg.constant(v) if isinstance(v, int) else v
-        alg._check_element(env[name])
+    env = {name: alg.constant(v) if isinstance(v, int) else v for name, v in pairs}
     t = terms.parse_term(args.term, args.n)
     result = terms.eval_term(t, env, alg)
     label = "[" + ",".join(map(str, result)) + "]"

@@ -152,17 +152,24 @@ class PowerAlgebra:
 
     # -- the fundamental operation ------------------------------------
 
-    def q(self, x: Element, ys: Sequence[Element]) -> Element:
-        """Pointwise generalised if-then-else: result[p] = ys[x[p]][p]."""
-        self._check_element(x)
-        if len(ys) != self.n:
-            raise ShapeError(f"q expects {self.n} branches, got {len(ys)}")
-        for y in ys:
-            self._check_element(y)
-        out = tuple(ys[x[p] - 1][p] for p in range(self.points))
+    def pointwise(self, f, els: Sequence[Element]) -> Element:
+        """f(*vals) + 1 broadcast to the points, for f an operation of generator(n) and vals
+        the values of els less 1 as one int64 array: as q acts point by point, f's value on
+        els.  ShapeError names the first bad element, or a result outside the carrier."""
+        for el in els:
+            self._check_element(el)
+        vals = np.array(els, dtype=np.int64).reshape(len(els), self.points) - 1
+        out = tuple((np.broadcast_to(f(*vals), (self.points,)) + 1).tolist())
         if self.carrier is not None and out not in self:
             raise ShapeError(f"carrier not closed under q: produced {out}")
         return out
+
+    def q(self, x: Element, ys: Sequence[Element]) -> Element:
+        """Pointwise generalised if-then-else, result[p] = ys[x[p] - 1][p]: generator(n)'s q."""
+        self._check_element(x)
+        if len(ys) != self.n:
+            raise ShapeError(f"q expects {self.n} branches, got {len(ys)}")
+        return self.pointwise(lambda s, *b: generator(self.n).q_vec(s, b), [x, *ys])
 
     def q_idx(self, s: int, branches: Sequence[int]) -> int:
         if len(branches) != self.n or not all(0 <= i < self.size for i in (s, *branches)):
@@ -470,11 +477,7 @@ def algebra_from_json(obj: dict):
         alg._power()  # rejects a carrier that is not closed under q
         return alg
     if kind == "table":
-        q = json_ints(obj["q"], "q")
-        try:  # one pass; an entry past int64 is left for TableAlgebra to name out of range
-            q = np.fromiter(q, np.int64, len(q))
-        except OverflowError:
-            pass
+        json_ints(obj["q"], "q")  # checked; TableAlgebra reads the list itself in one pass
         return TableAlgebra(n, json_int(obj["size"], "size"),
-                            json_ints(obj["constants"], "constants"), q)
+                            json_ints(obj["constants"], "constants"), obj["q"])
     raise ValueError(f"unknown algebra kind {kind!r}")

@@ -20,9 +20,9 @@ several parents, cost their distinct nodes and not their trees, and it
 keeps its own stack, so none of them recurses once per nesting level.
 
 Every evaluation, here and in the axiom audits of nbalab.skew, lowers its
-terms once into a straight-line Program and runs it on each chunk of
-assignments; first_witness streams the chunks of a check and stops at the
-first row where the two sides differ.
+terms once into a straight-line Program and runs it on each chunk of index
+arrays (eval_term on one: its elements' values less 1, in generator(n));
+first_witness streams a check's chunks to the first row where the sides differ.
 """
 
 from __future__ import annotations
@@ -450,9 +450,13 @@ def q_ops(alg) -> dict:
 
 
 def eval_term(t: Term, env: dict, alg) -> tuple:
-    """Evaluate a term in a power algebra; env maps names to Elements."""
-    ops = {f"e{k}": c for k, c in enumerate(alg.constants, 1)} | {"q": lambda s, *ys: alg.q(s, ys)}
-    return run(lower([t], alg.n), {name: tuple(v) for name, v in env.items()}, ops)[0]
+    """Evaluate a term in a power algebra; env maps names to Elements, each one checked
+    after any unbound variable is named.  One run in generator(n): alg.pointwise."""
+    program, ops = lower([t], alg.n), q_ops(generator(alg.n))
+    if unbound := [op for op, a, _ in program.steps if a is None and op not in env | ops]:
+        raise TermError(f"unbound variable {unbound[0]!r}")
+    return alg.pointwise(lambda *vals: run(program, dict(zip(env, vals)), ops)[0],
+                         list(map(tuple, env.values())))
 
 
 def eval_vec(t: Term, env: dict, alg):

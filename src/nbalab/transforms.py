@@ -85,6 +85,8 @@ def derived_bin(kind: str, d, x: Element, y: Element, alg: PowerAlgebra,
     outside = set(range(1, alg.n + 1)) - d
     if kind == "join" and not outside:
         raise ValueError("join needs an index outside d")
+    if (i is not None and i not in d) or (j is not None and j in d):
+        raise ValueError("need i in d and j outside d")
     zero = alg.constant(min(d) if i is None else i)
     one = alg.constant(min(outside) if j is None else j) if outside else None
     return t_eval(d, *terms.BINARY[BIN_NAMES[kind]](x, y, zero, one), alg)
@@ -94,7 +96,9 @@ def derived_bin(kind: str, d, x: Element, y: Element, alg: PowerAlgebra,
 
 
 def perm_apply(x: Element, sigma: Permutation, alg: PowerAlgebra) -> Element:
-    """x^sigma = q(x, e_{sigma 1}, ..., e_{sigma n})."""
+    """x^sigma = q(x, e_{sigma 1}, ..., e_{sigma n}); sigma must permute 1..n."""
+    if len(sigma.images) != alg.n:
+        raise ValueError(f"a permutation of 1..{len(sigma.images)}, not of 1..{alg.n}")
     out = alg.q(tuple(x), [alg.constant(sigma(k)) for k in range(1, alg.n + 1)])
     if out != tuple(sigma(v) for v in x):
         raise ValueError("the action must agree with sigma pointwise")

@@ -72,6 +72,11 @@ def test_eval_constant_env(capsys):
     assert code == 0 and json.loads(out)["result"] == [2]
 
 
+def test_eval_unused_bad_env_entry_exits_1(capsys):
+    code, out = run(capsys, ["eval", "--n", "2", "--term", "q(x,x,x)", "--env", "x=[1]", "w=[5]"])
+    assert code == 1 and json.loads(out) == {"error": "value 5 out of 1..2 in (5,)"}
+
+
 def test_eval_parse_error_exits_1(capsys):
     code, out = run(capsys, ["eval", "--n", "2", "--term", "q(x,e1"])
     assert code == 1 and "error" in json.loads(out)

@@ -3,8 +3,10 @@
 The five binary operations have three readers: terms.elaborate (through
 eval_term), transforms.derived_bin and skew.reduct.  Each is checked against
 the definitions written out as t_d, on every kind, every valid subscript d of
-{1, 2, 3} and every pair of elements of 3^2.  The term walk, the branch layout
-of t_d and the skew-star nesting are pinned on small cases.
+{1, 2, 3} and every pair of elements of 3^2.  derived_bin takes an explicit i
+only in d and j only outside it, and perm_apply only a permutation of 1..n.
+The term walk, the branch layout of t_d and the skew-star nesting are pinned
+on small cases.
 """
 
 import itertools
@@ -76,6 +78,26 @@ def test_join_without_an_outside_index_fails_even_with_j():
         derived_bin("join", {1, 2, 3}, (1, 1), (2, 2), ALG, j=2)
     with pytest.raises(TermError, match="or needs an index outside the subscript"):
         terms.elaborate(binary("or", {1, 2, 3}), 3)
+
+
+@pytest.mark.parametrize("kind", sorted(DEFINITIONS))
+@pytest.mark.parametrize("ij", [{"j": 1}, {"i": 2}, {"i": 2, "j": 3}, {"i": 1, "j": 1}])
+def test_derived_bin_refuses_i_outside_d_or_j_inside_d(kind, ij):
+    # with j = 1 the join's "one", e_1, would lie in d = {1}
+    name, as_t = DEFINITIONS[kind]
+    with pytest.raises(ValueError, match="^need i in d and j outside d$"):
+        derived_bin(name, {1}, (2, 3), (3, 2), ALG, **ij)
+    # an explicit i in d and j outside d are taken as given
+    d, x, y = frozenset({1, 2}), (2, 3), (3, 2)
+    want = as_t(d, x, y, ALG.constant(2), ALG.constant(3))
+    assert derived_bin(name, d, x, y, ALG, i=2, j=3) == want
+
+
+@pytest.mark.parametrize("images", [(1, 2), (2, 1, 3, 4)])
+def test_perm_apply_refuses_a_permutation_of_another_degree(images):
+    # (1, 2) on 3^2 used to raise a bare IndexError, (2, 1, 3, 4) to return (2, 1)
+    with pytest.raises(ValueError, match=rf"^a permutation of 1..{len(images)}, not of 1..3$"):
+        transforms.perm_apply((1, 2), transforms.Permutation(images), ALG)
 
 
 def test_t_branches_put_z_at_the_indices_in_d():

@@ -8,7 +8,9 @@ per chunk; verdicts, modes and witnesses must not change.  Also here: the
 count of q calls per chunk, the memory a walk holds, the full-power q_vec
 against the digit kernel on each side of core.GATHER_TABLE_MAX, terms
 nested deeper than the recursion limit, to_skew against its recursive
-form, and star translation of a star form.
+form, and star translation of a star form.  The oracle's q on elements is
+q's per-point definition, against which PowerAlgebra.q, eval_term and
+t_eval are checked, with eval_term's order of errors.
 """
 
 import json
@@ -215,10 +217,79 @@ def test_shared_subterms_match_the_tree_oracle(data):
     assert terms.eval_term(lhs, env, alg) == _tree_eval_term(lhs, env, alg)
 
 
+def defined_q(x, ys) -> tuple:
+    """q on elements by its definition, point by point: result[p] = ys[x[p] - 1][p]."""
+    return tuple(ys[x[p] - 1][p] for p in range(len(x)))
+
+
 def _tree_eval_term(t, env, alg):
+    """The term's element, walked as a tree with q by its definition: no nbalab evaluator."""
     ops = {f"e{k}": alg.constant(k) for k in range(1, alg.n + 1)}
-    ops["q"] = lambda s, *ys: alg.q(s, ys)
+    ops["q"] = lambda s, *ys: defined_q(s, ys)
     return evaluate(op_term(elaborate(t, alg.n), alg.n), env, ops)
+
+
+# -- elements: q, eval_term and t_eval against q's per-point definition ---------------------
+
+
+def elements(n: int, points: int):
+    return st.tuples(*[st.integers(1, n)] * points)
+
+
+@st.composite
+def algebras_and_elements(draw):
+    """(alg, a strategy for its elements): n^p for n = 2..4 and p = 0..6, a subpower of
+    one generated by up to two elements, or 2^70, of which no element is listed."""
+    kind = draw(st.sampled_from(["power", "subpower", "2^70"]))
+    if kind == "2^70":
+        return core.power_algebra(2, 70), elements(2, 70)
+    n, points = draw(st.integers(2, 4)), draw(st.integers(0, 6))
+    alg = core.power_algebra(n, points)
+    if kind == "power":
+        return alg, elements(n, points)
+    sub = core.subalgebra_closure(alg, draw(st.lists(elements(n, points), max_size=2)))
+    return sub, st.sampled_from(sub.carrier)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_elements_evaluate_as_q_is_defined(data):
+    alg, element = data.draw(algebras_and_elements())
+    n = alg.n
+    x, *ys = [data.draw(element) for _ in range(n + 1)]
+    assert alg.q(x, ys) == defined_q(x, ys)
+    d = frozenset(data.draw(st.sets(st.integers(1, n), min_size=1)))
+    y, z = ys[:2]
+    assert transforms.t_eval(d, x, y, z, alg) == defined_q(x, t_branches(n, d, y, z))
+    lhs, rhs = data.draw(shared_terms(n))
+    env = {v: data.draw(element) for v in "xyz"}
+    for t in (lhs, rhs):
+        assert terms.eval_term(t, env, alg) == _tree_eval_term(t, env, alg)
+
+
+def test_an_open_carrier_is_refused_at_the_element_q_produces():
+    alg = core.PowerAlgebra(2, 2, ((1, 1), (2, 2), (1, 2)))
+    with pytest.raises(core.ShapeError, match=r"^carrier not closed under q: produced \(2, 1\)$"):
+        alg.q((1, 2), [(2, 2), (1, 1)])
+    with pytest.raises(core.ShapeError, match=r"^carrier not closed under q: produced \(2, 1\)$"):
+        terms.eval_term(terms.parse_term("q(x,e2,e1)", 2), {"x": (1, 2)}, alg)
+
+
+# a malformed term, then an unbound variable, then the first bad element (in env order,
+# used or not): on 2^2, y's value 3 and z's one point are both bad
+BAD_ENV = {"x": (1, 2), "y": (3, 1), "z": (1,)}
+ERROR_ORDER = [
+    (Q(Var("w"), (Var("y"),)), TermError, "q node has 1 branches, expected 2"),
+    (Q(Var("w"), (Var("y"), Var("z"))), TermError, "unbound variable 'w'"),
+    (Q(Var("x"), (Var("x"), Var("x"))), core.ShapeError, "value 3 out of 1..2 in (3, 1)"),
+]
+
+
+@pytest.mark.parametrize("t,error,message", ERROR_ORDER, ids=[m for _, _, m in ERROR_ORDER])
+def test_element_evaluation_errors_come_in_order(t, error, message):
+    with pytest.raises(error) as exc:
+        terms.eval_term(t, BAD_ENV, core.power_algebra(2, 2))
+    assert str(exc.value) == message
 
 
 # -- one q call per distinct q node per chunk ---------------------------------------------

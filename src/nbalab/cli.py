@@ -74,22 +74,20 @@ def _load_nba(path: str):
 # -- subcommands -----------------------------------------------------------
 
 
+# nba check --suite NAME: NAME -> (the skew suite, (alg, --i) -> the object it audits)
+CHECK_SUITES = {
+    "nba": ("NBA", lambda alg, i: alg),
+    "skewba": ("SKEW_BA", lambda alg, i: skew.reduct(alg, "skew", i=i)),
+    "srca": ("SRCA", lambda alg, i: skew.reduct(alg, "skew", i=i)),
+    "skewstar": ("SKEW_STAR", lambda alg, i: skew.star_of(alg)),
+    "skewlattice": ("SKEW_LATTICE", lambda alg, i: skew.reduct(alg, "skew", i=i)),
+}
+
+
 def cmd_check(args) -> int:
     alg = _load(args.algebra, "algebra", core.algebra_from_json)
-    suite = {
-        "nba": "NBA",
-        "skewba": "SKEW_BA",
-        "skewlattice": "SKEW_LATTICE",
-        "srca": "SRCA",
-        "skewstar": "SKEW_STAR",
-    }[args.suite]
-    if suite in ("SKEW_BA", "SKEW_LATTICE", "SRCA"):
-        obj = skew.reduct(alg, "skew", i=args.i)
-    elif suite == "SKEW_STAR":
-        obj = skew.star_of(alg)
-    else:
-        obj = alg
-    report = skew.check_axioms(obj, suite, budget=args.budget,
+    suite, audited = CHECK_SUITES[args.suite]
+    report = skew.check_axioms(audited(alg, args.i), suite, budget=args.budget,
                                samples=args.samples, seed=args.seed)
     out = report.to_json()
     if report.sampled:
@@ -301,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run an axiom suite against an algebra")
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--suite", required=True,
-                    choices=["nba", "skewba", "srca", "skewstar", "skewlattice"])
+    sp.add_argument("--suite", required=True, choices=list(CHECK_SUITES))
     sp.add_argument("--i", type=int, default=1)
     sampling(sp)
     common(sp)

@@ -109,8 +109,8 @@ class PowerAlgebra:
     def _check_element(self, el: Element) -> None:
         if len(el) != self.points:
             raise ShapeError(f"element {el} has {len(el)} points, expected {self.points}")
-        for v in el:
-            if not 1 <= v <= self.n:
+        for v in el:  # an integer or a boolean, never a float that int64 would truncate
+            if not (isinstance(v, (int, np.integer, np.bool_)) and 1 <= v <= self.n):
                 raise ShapeError(f"value {v} out of 1..{self.n} in {el}")
 
     @property
@@ -379,7 +379,7 @@ def power_algebra(n: int, m: int) -> PowerAlgebra:
 
 def table_of_power(alg: PowerAlgebra) -> TableAlgebra:
     """Materialise a PowerAlgebra as an explicit TableAlgebra."""
-    consts = tuple(alg.index(c) for c in alg.constants)
+    consts = tuple(alg.constant_index(k) for k in range(1, alg.n + 1))
     return TableAlgebra(alg.n, alg.size, consts, alg.q_table().ravel())
 
 

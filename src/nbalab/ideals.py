@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import DimensionError, PowerAlgebra, check_table_bound, element_index, gather, generator
-from .skew import boolean_center, reduct, _label_tuple
+from .skew import boolean_center, reduct
 from .terms import t_branches
 from .transforms import CenterParams
 
@@ -248,12 +248,11 @@ class Multideal:
         return not self.degenerate and len(self.carrier) == self.alg.size
 
     def to_json(self) -> dict:
-        labels = _label_tuple(self.alg)
         if self.degenerate:
             return {"degenerate": True}
         return {
             "degenerate": False,
-            "components": [sorted(labels[x] for x in comp) for comp in self.components],
+            "components": [sorted(map(self.alg.element_label, comp)) for comp in self.components],
         }
 
 
@@ -285,7 +284,7 @@ def validate_multideal(alg, candidate) -> ValidationResult:
     """Check m1, disjointness, m2, m3; classify degenerate tuples."""
     n = alg.n
     size = alg.size
-    labels = _label_tuple(alg)
+    label = alg.element_label  # only the witness's elements are labelled
     comps = [frozenset(element_index(alg, x) for x in c) for c in candidate]
     if len(comps) != n:
         return ValidationResult("invalid", "shape", {"expected": n, "got": len(comps)})
@@ -301,7 +300,7 @@ def validate_multideal(alg, candidate) -> ValidationResult:
             inter = comps[r] & comps[k]
             if inter:
                 return ValidationResult("invalid", "disjoint",
-                                        {"element": labels[min(inter)],
+                                        {"element": label(min(inter)),
                                          "components": [r + 1, k + 1]})
     member = np.zeros((n, size), dtype=bool)
     for k in range(n):
@@ -312,7 +311,7 @@ def validate_multideal(alg, candidate) -> ValidationResult:
         if bad.size:  # the first in C order: the first argument varies slowest
             at = np.unravel_index(bad[0], res.shape)
             a, *ys = (int(grid.ravel()[t]) for grid, t in zip(g, at))
-            wit = {"a": labels[a], "ys": [labels[y] for y in ys], "result": labels[int(res[at])]}
+            wit = {"a": label(a), "ys": [label(y) for y in ys], "result": label(int(res[at]))}
             return ValidationResult("invalid", clause, {**wit, **where})
     return ValidationResult("proper")
 

@@ -159,9 +159,9 @@ def star_of(alg) -> StarTable:
 def nba_of_star(st: StarTable) -> TableAlgebra:
     """Table-level companion in the other direction, via the nested selector."""
     n, s = st.n, st.size
-    grids = np.indices((s,) * (n + 1)).reshape(n + 1, -1)
-    acc = star_chain(lambda i, x, a, b: gather(st.tables[i - 1], (x, a, b)), grids[0], grids[1:])
-    return TableAlgebra(n, s, st.zeros, acc)
+    grid = np.ix_(*[range(s)] * (n + 1))
+    acc = star_chain(lambda i, x, a, b: gather(st.tables[i - 1], (x, a, b)), grid[0], grid[1:])
+    return TableAlgebra(n, s, st.zeros, acc.ravel())
 
 
 # -- the audit engine -----------------------------------------------------
@@ -253,17 +253,17 @@ class AxiomReport:
 # -- decided decomposition axioms --------------------------------------------
 
 
-def decide_decomposition(f: np.ndarray, op: np.ndarray, selectors: Optional[Sequence] = None,
+def decide_decomposition(f: np.ndarray, selectors: Optional[Sequence] = None,
                          ys: Optional[Sequence] = None) -> tuple:
     """Decide axioms 2 and 3 of _decomposition_rows for f_y = f[y], y in ys (default: all).
 
-    f has shape (s,)*(k+1) and op (s,)*(m+1); a θ_{y,r} b iff f_y(b, ..., a at r, ..., b)
-    = b.  Axioms 1 and 2 hold at y iff (1) f_y(x, ..., x) = x, (2) each θ_{y,r} is an
-    equivalence, (3) the θ_{y,r} intersect in the diagonal and (4) f_y(x) θ_{y,r} x_r for
-    every x and r; 3 and 4 give 1.  Given them, f_y commutes with op (axiom 3) iff (5)
-    each θ_{y,r} is compatible with op: its labels are the same at every argument tuple
-    and at the tuple of its arguments' least class members, read once per distinct
-    relation (Salibra, Ledda, Paoli and Kowalski, Algebra Universalis 69, 2013).
+    f is the (k+1)-ary table, q in an nBA and t in an SRCA; a θ_{y,r} b iff f_y(b, ...,
+    a at r, ..., b) = b.  Axioms 1 and 2 hold at y iff (1) f_y(x, ..., x) = x, (2) each
+    θ_{y,r} is an equivalence, (3) the θ_{y,r} intersect in the diagonal and (4) f_y(x)
+    θ_{y,r} x_r for every x and r; 3 and 4 give 1.  Given them, f_y commutes with f
+    (axiom 3) iff (5) each θ_{y,r} is compatible with f: its labels are the same at every
+    argument tuple and at the tuple of its arguments' least class members, read once per
+    distinct relation (Salibra, Ledda, Paoli and Kowalski, Algebra Universalis 69, 2013).
 
     Returns axiom 2's and axiom 3's verdicts: True when proved, else a list of (step,
     candidate witness), the witness being y and then the axiom's x row by row.  Each
@@ -272,7 +272,7 @@ def decide_decomposition(f: np.ndarray, op: np.ndarray, selectors: Optional[Sequ
     a constant tuple (x, ..., x).  The second reads axiom 1 only at x and at f_y(x, ..., x),
     so it still re-checks where axiom 1 fails at x alone, as after a one-entry change of a
     diagonal entry f_y(x, ..., x).  When steps 1-4 fail, axiom 3's candidates are axiom 2's
-    transposed, x_r0 = σ_r and x_rc = W_cr, for the selectors σ_r with op(σ_r, z_1..z_k)
+    transposed, x_r0 = σ_r and x_rc = W_cr, for the selectors σ_r with f(σ_r, z_1..z_k)
     = z_r (e_r in an nBA); by B0 and B4 that turns axiom 3 into axiom 2.
     """
     s, k = f.shape[0], f.ndim - 1
@@ -322,13 +322,13 @@ def decide_decomposition(f: np.ndarray, op: np.ndarray, selectors: Optional[Sequ
     lab = theta.argmax(3).reshape(-1, s)  # the least member of each class
     for i in np.sort(np.unique(lab, axis=0, return_index=True)[1]):
         least = lab[i]
-        lo = least[op]
-        x = first(lo != gather(lo, np.ix_(*[least] * op.ndim)))
+        lo = least[f]
+        x = first(lo != gather(lo, np.ix_(*[least] * f.ndim)))
         if x is None:
             continue
         # walk x to its class minima one argument at a time: some step changes the label
         x = [int(v) for v in x]
-        for p in range(op.ndim):
+        for p in range(f.ndim):
             moved = x[:p] + [int(least[x[p]])] + x[p + 1:]
             if gather(lo, x) != gather(lo, moved):
                 j, r = divmod(int(i), k)
@@ -361,8 +361,8 @@ class Decomposition:
 
     @cached_property
     def verdicts(self) -> tuple:
-        tab = self.table()
-        return decide_decomposition(tab, tab, self.selectors, None if self.y is None else [self.y])
+        return decide_decomposition(self.table(), self.selectors,
+                                    None if self.y is None else [self.y])
 
     def pin(self, y: int) -> "Decomposition":
         """This decomposition with y pinned, one per element, so its axioms share a decision."""
@@ -602,7 +602,7 @@ def relations(sk: SkewTable) -> RelationBundle:
         raise AuditFailure(rep)
     m = sk.meet
     s = sk.size
-    a, b = np.indices((s, s))
+    a, b = np.ix_(range(s), range(s))
     leq = (m[a, b] == a) & (m[b, a] == a)
     preceq = m[m[a, b], a] == a
     pl = m[a, b] == a

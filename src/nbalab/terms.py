@@ -122,7 +122,7 @@ def children(t: Term) -> tuple:
     return ()
 
 
-def subterms(*roots, kids=children) -> Iterator:
+def subterms(*roots) -> Iterator:
     """The roots and their distinct subterms, each once, in preorder of first occurrence.
 
     Walked without recursion; a node reached again through a second parent
@@ -136,7 +136,7 @@ def subterms(*roots, kids=children) -> Iterator:
             continue
         seen[id(s)] = s
         yield s
-        stack.extend(reversed(kids(s)))
+        stack.extend(reversed(children(s)))
 
 
 def shared_nodes(roots, kids=children) -> set:

@@ -126,6 +126,7 @@ class PowerAlgebra:
         return self._cache["full"]
 
     def index(self, el: Element) -> int:
+        self._check_element(el)  # 2.0 hashes as 2, so the lookup alone would take it
         if "index" not in self._cache:
             self._cache["index"] = {e: i for i, e in enumerate(self.elements())}
         try:

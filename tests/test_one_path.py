@@ -114,12 +114,15 @@ def test_nba_of_star_peaks_under_three_tables(n, m):
 
 A32 = power_algebra(3, 2)
 BRANCHES = [(3, 3), (1, 1), (2, 2)]
+SUB32 = PowerAlgebra(3, 2, A32.elements())  # all of 3^2, read as a subpower's carrier
 ELEMENT_ENTRIES = {
     "q": lambda x: A32.q(x, BRANCHES),
     "eval_term": lambda x: eval_term(parse_term("q(x,y,z,w)", 3),
                                      dict(zip("xyzw", [x, *BRANCHES])), A32),
     "carrier": lambda x: PowerAlgebra(3, 2, A32.constants + (x,)),
     "subalgebra_closure": lambda x: subalgebra_closure(A32, [x]),
+    "subpower subalgebra_closure": lambda x: subalgebra_closure(SUB32, [x]),
+    "subpower element_index": lambda x: core.element_index(SUB32, x),
 }
 
 

@@ -50,16 +50,21 @@ def gather(tab: np.ndarray, args: Sequence) -> np.ndarray:
     together, each in range on its own axis.
 
     A read of FANCY_READ_MAX results or more folds the arguments into one flat index
-    over tab's shape (Horner, each argument cast to int64 first, so that a narrow index
-    dtype cannot overflow) and takes it; a smaller one indexes tab directly.
+    over tab's shape (Horner) and takes it; a smaller one indexes tab directly.  The fold
+    runs in the arguments' dtypes promoted with np.min_scalar_type(tab.size): no axis
+    length or partial sum exceeds tab.size, and int64 arguments fold in int64 with no
+    copy.  uint64 beside a signed dtype (which numpy promotes to float64) folds in int64.
     """
     if len(args) != tab.ndim:
         raise IndexError(f"a table of {tab.ndim} axes read with {len(args)} indices")
     if np.broadcast(*args).size < FANCY_READ_MAX:
         return tab[tuple(args)]
-    idx = np.asarray(args[0], dtype=np.int64)
+    idx = np.asarray(args[0])
+    idx = idx.astype(np.promote_types(idx.dtype, np.min_scalar_type(tab.size)), copy=False)
     for a, dim in zip(args[1:], tab.shape[1:]):
-        idx = idx * dim + np.asarray(a, dtype=np.int64)
+        idx = idx * dim + a
+    if idx.dtype.kind not in "iu":
+        return gather(tab, [np.asarray(a, np.int64) for a in args])
     return tab.take(idx)
 
 
@@ -260,6 +265,26 @@ class PowerAlgebra:
             return self._q_codes(s, branches)
         return gather(self.q_table(), [s, *branches])
 
+    def run(self, program, env: dict, ops: dict) -> tuple:
+        """terms.run of a q program over carrier indices (env the variables, ops q_ops(self)
+        and pins).  Where q_vec runs the digit kernel and generator(n) gathers from its table
+        (n <= 5), each named input is decoded once into base-n digit planes (point p's digits
+        at p on a new first axis), the program runs on them in generator(n), as q acts point
+        by point, and the roots are encoded back."""
+        alg = self._power()
+        if alg.size ** (alg.n + 1) <= GATHER_TABLE_MAX or alg.n ** (alg.n + 1) > GATHER_TABLE_MAX:
+            return terms.run(program, env, ops)
+        # codes and each digit's share of one (below size) in the least dtype that holds size - 1
+        ndim, cdt, dt = (max([getattr(v, "ndim", 0) for v in env.values()], default=0),
+                         np.min_scalar_type(alg.size - 1), np.min_scalar_type(alg.n - 1))
+        shifts = (alg.n ** np.arange(alg.points, dtype=cdt)).reshape((-1,) + (1,) * ndim)
+        names = {op for op, args, _ in program.steps if args is None}
+        planes = {name: (np.asarray(v).astype(cdt) // shifts % alg.n).astype(dt, copy=False)
+                  for name, v in {**ops, **env}.items() if name in names}
+        tab = generator(alg.n).q_table().astype(dt)  # its values, in the planes' dtype
+        roots = terms.run(program, planes, {"q": lambda s, *ys: gather(tab, [s, *ys])})
+        return tuple((r * shifts).sum(0, dtype=cdt) for r in roots)
+
     def element_label(self, i: int) -> str:
         el = self.elements()[i]
         return "[" + ",".join(map(str, el)) + "]"
@@ -315,6 +340,10 @@ class TableAlgebra:
     def q_vec(self, s: np.ndarray, branches: Sequence[np.ndarray]) -> np.ndarray:
         return gather(self.q_table(), [s, *branches])
 
+    def run(self, program, env: dict, ops: dict) -> tuple:
+        """terms.run of a q program over carrier indices, ops being q_ops(self) and pins."""
+        return terms.run(program, env, ops)
+
     def element_label(self, i: int) -> str:
         return f"#{i}"
 
@@ -338,9 +367,12 @@ class TableAlgebra:
 
 
 def _int64_entries(q) -> Optional[np.ndarray]:
-    """q as an int64 array in one pass when q is a list or tuple of integers (Python,
-    bool or numpy) within int64, as array.array reads them; else None.  np.array would
-    first walk q to find a common dtype, which on a tuple of 2^18 ints takes longer."""
+    """q as a new int64 array in one pass when q is an integer array, or a list or tuple
+    of integers (Python, bool or numpy) within int64, as array.array reads them; else
+    None.  np.array would first walk a list to find a common dtype, which on a tuple of
+    2^18 ints takes longer."""
+    if isinstance(q, np.ndarray) and q.dtype.kind in "iu":
+        return q.astype(np.int64)  # one copy; a uint64 past int64 wraps below 0 and is refused
     if not isinstance(q, (list, tuple)):
         return None
     try:
@@ -482,3 +514,7 @@ def algebra_from_json(obj: dict):
         return TableAlgebra(n, json_int(obj["size"], "size"),
                             json_ints(obj["constants"], "constants"), obj["q"])
     raise ValueError(f"unknown algebra kind {kind!r}")
+
+
+# terms imports this module's names, so it is imported once they all exist
+from . import terms  # noqa: E402

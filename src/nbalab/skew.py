@@ -1,14 +1,15 @@
 """Reducts, skew-lattice relations, axiom audits and the Boolean center.
 
-An axiom is a row (name, variables, lhs, rhs) whose sides are operation
-terms: a name, or a tuple (op, *args).  A suite binds its rows to one
-ops dict of named tables and constants, e.g. {"meet": sk.meet, "0":
-sk.zero} for the skew suites, or terms.q_ops(alg) (q and e1..en) for the
-nBA axioms.  An axiom lowers its sides once (terms.lower), and terms.run
-computes them over arrays of carrier indices; constants broadcast as
-scalars.  Pinning a variable to an element (_pin) moves it from the
-variables into ops: that is how the factor and semicentral checks of an
-element reuse the suites' rows, each pinned copy with its own program.
+An axiom is a row (name, variables, lhs, rhs) whose sides are operation terms:
+a name, or a tuple (op, *args).  A suite binds its rows to one ops dict of
+named tables and constants, e.g. {"meet": sk.meet, "0": sk.zero} for the skew
+suites, or terms.q_ops(alg) (q and e1..en) for the nBA axioms.  An axiom lowers
+its sides once (terms.lower), and its runner computes them over arrays of
+carrier indices: terms.run, or for the nBA rows alg.run, which on powers past
+core.GATHER_TABLE_MAX with n <= 5 runs them in generator(n) on digit planes.
+Constants broadcast as scalars.  Pinning a variable to an element (_pin) moves
+it from the variables into ops: that is how the factor and semicentral checks
+of an element reuse the suites' rows, each pinned copy with its own program.
 
 Audits evaluate identities over all assignments of carrier elements
 (vectorised), falling back to deterministic sampling past a budget.  Past
@@ -178,18 +179,20 @@ class Axiom:
     ops: dict = field(compare=False, repr=False)
     # (a Decomposition, 2 or 3) for axiom 2 or 3 of one: y first, then its x row by row
     decomposition: Optional[tuple] = field(default=None, compare=False, repr=False)
+    # runs the program over ops: a q algebra's own run, else terms.run
+    runner: Callable = field(default=terms.run, compare=False, repr=False)
 
     @cached_property
     def program(self) -> terms.Program:
         return terms.lower((self.lhs, self.rhs))
 
     def check(self, env: dict) -> tuple:
-        return terms.run(self.program, env, self.ops)
+        return self.runner(self.program, env, self.ops)
 
 
-def _axioms(ops: dict, rows) -> list:
+def _axioms(ops: dict, rows, runner: Callable = terms.run) -> list:
     """Axioms from rows (name, variables separated by spaces, lhs, rhs[, decomposition])."""
-    return [Axiom(name, tuple(vs.split()), lhs, rhs, ops, *dec)
+    return [Axiom(name, tuple(vs.split()), lhs, rhs, ops, *dec, runner=runner)
             for name, vs, lhs, rhs, *dec in rows]
 
 
@@ -421,7 +424,7 @@ def nba_axioms(alg) -> list:
     rows = [(f"B0[{i}]", " ".join(xs), ("q", f"e{i}", *xs), xs[i - 1]) for i in range(1, n + 1)]
     rows += _decomposition_rows(alg, "B")
     rows.append(("B4", "y", ("q", "y", *(f"e{k}" for k in range(1, n + 1))), "y"))
-    return _axioms(q_ops(alg), rows)
+    return _axioms(q_ops(alg), rows, alg.run)
 
 
 def _decomposition_rows(alg, prefix: str) -> list:
@@ -632,7 +635,8 @@ def equivalence_is_congruence(rel: np.ndarray, tables: Sequence[np.ndarray]) -> 
 
 def _factor_axioms(alg, e: int) -> list:
     """D1-D3 of f = q(e, -, ..., -), which are B1-B3 with y pinned to e, and D3-const."""
-    d1, d2, d3 = (_pin(ax, "y", e) for ax in _axioms(q_ops(alg), _decomposition_rows(alg, "D")))
+    d1, d2, d3 = (_pin(ax, "y", e)
+                  for ax in _axioms(q_ops(alg), _decomposition_rows(alg, "D"), alg.run))
     # D3-const: f(e_k, ..., e_k) = e_k for each k, that is D1 at the constants
     const = replace(d1, name="D3-const")
     return [d1, d2, d3] + [_pin(const, "x", alg.constant_index(k)) for k in range(1, alg.n + 1)]

@@ -46,7 +46,9 @@ def _inputs() -> dict:
     powers = {"a22": core.power_algebra(2, 2), "a23": core.power_algebra(2, 3),
               "a32": core.power_algebra(3, 2),
               "sub24": core.subalgebra_closure(core.power_algebra(2, 4),
-                                               [(1, 1, 2, 2), (1, 2, 2, 2)])}
+                                               [(1, 1, 2, 2), (1, 2, 2, 2)]),
+              "a26": core.power_algebra(2, 6), "a33": core.power_algebra(3, 3),
+              "a42": core.power_algebra(4, 2), "a52": core.power_algebra(5, 2)}
     files = {name: alg.to_json() for name, alg in powers.items()}
     for name in ("a22", "a23", "a32"):
         files["t" + name[1:]] = core.table_of_power(powers[name]).to_json()
@@ -110,6 +112,9 @@ def _commands(files: dict) -> list:
     for name in ("t23", "a32", "t32"):
         cmds.append(["check", *alg(name), "--suite", "nba"])
     cmds.append(["check", *alg("t32"), "--suite", "nba", "--text"])
+    # the powers whose q tables are past GATHER_TABLE_MAX: all rows hold, B2 and B3 sampled
+    for name in ("a26", "a33", "a42", "a52"):
+        cmds.append(["check", *alg(name), "--suite", "nba"])
     cmds.append(["check", *alg("t23"), "--suite", "srca", "--i", "2"])
     cmds.append(["check", *alg("t32"), "--suite", "srca", "--i", "1", "--text"])
     cmds.append(["check", *alg("a22"), "--suite", "nba", "--budget", "10", "--samples", "50"])

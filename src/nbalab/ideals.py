@@ -6,6 +6,7 @@ index per carrier element with canonical first-occurrence labelling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -306,6 +307,7 @@ def validate_multideal(alg, candidate) -> ValidationResult:
     for k in range(n):
         member[k, sorted(comps[k])] = True
     for clause, where, g in _rule_grids(alg, member):
+        check_table_bound(f"the {clause} grid", size, math.prod(a.size for a in g))
         res = alg.q_vec(g[0], g[1:])
         bad = np.flatnonzero(~member[where["k"] - 1][res])
         if bad.size:  # the first in C order: the first argument varies slowest
@@ -345,29 +347,17 @@ def multideal_from_sets(alg, candidate) -> Multideal:
 
 
 def ideal_closure(alg, seed) -> Multideal:
-    """Least multideal containing the seed, or the degenerate one.
+    """For an nBA, the least multideal containing the seed, or the degenerate one.
 
-    Each round adds every result of m2 and m3 over the current sets, until a round
-    adds nothing; the sets only grow, so the closure is degenerate iff a round sees
-    a constant in a foreign component or two components meet.
+    On any table, the constant classes (multideal_of) of the congruence generated by the
+    pairs (e_k, x), x in part k of the seed; off the nBAs they need not satisfy m2-m3.
+    With a Stone certificate that congruence is the kernel of the projection onto the
+    coordinates where each seed element agrees with its constant: degenerate iff none.
     """
-    n = alg.n
-    if len(seed) > n:
-        raise ValueError(f"a seed has at most {n} parts, got {len(seed)}")
-    member = np.zeros((n, alg.size), dtype=bool)
-    consts = [alg.constant_index(k) for k in range(1, n + 1)]
-    member[range(n), consts] = True
-    for k, part in enumerate(seed):
-        member[k, [element_index(alg, x) for x in part]] = True
-    while True:
-        if np.any(member[:, consts] & ~np.eye(n, dtype=bool)) or np.any(member.sum(0) > 1):
-            return degenerate_multideal(alg)
-        grown = member.copy()
-        for _, where, g in _rule_grids(alg, member):
-            grown[where["k"] - 1, alg.q_vec(g[0], g[1:])] = True
-        if np.array_equal(grown, member):
-            return Multideal(alg, tuple(frozenset(np.flatnonzero(m).tolist()) for m in member))
-        member = grown
+    if len(seed) > alg.n:
+        raise ValueError(f"a seed has at most {alg.n} parts, got {len(seed)}")
+    pairs = [(alg.constant_index(k), x) for k, part in enumerate(seed, 1) for x in part]
+    return multideal_of(congruence_generated(alg, pairs))
 
 
 # -- the multideal <-> congruence bijection ------------------------------

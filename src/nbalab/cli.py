@@ -13,8 +13,7 @@ import json
 import re
 import sys
 
-from . import core, ideals, representation, skew, synthesis, terms, transforms
-from .transforms import CenterParams
+from . import core, terms
 
 
 def _emit(args, obj: dict, text: str = None):
@@ -58,6 +57,8 @@ def _load_nba(path: str):
     which may only sample, does not refute is an nBA iff the homs onto the generator that
     the certificate attempt found separate its points: they embed it in a power, and every
     finite nBA is one (n^0 for the one-element table)."""
+    from . import ideals, skew
+
     alg = _load(path, "algebra", core.algebra_from_json)
     if isinstance(alg, core.TableAlgebra) and ideals.stone_certificate(alg) is None:
         fail = skew.check_axioms(alg, "NBA").first_failure()
@@ -74,17 +75,31 @@ def _load_nba(path: str):
 # -- subcommands -----------------------------------------------------------
 
 
+def _skew_reduct(alg, i):
+    from .skew import reduct
+
+    return reduct(alg, "skew", i=i)
+
+
+def _star(alg, i):
+    from .skew import star_of
+
+    return star_of(alg)
+
+
 # nba check --suite NAME: NAME -> (the skew suite, (alg, --i) -> the object it audits)
 CHECK_SUITES = {
     "nba": ("NBA", lambda alg, i: alg),
-    "skewba": ("SKEW_BA", lambda alg, i: skew.reduct(alg, "skew", i=i)),
-    "srca": ("SRCA", lambda alg, i: skew.reduct(alg, "skew", i=i)),
-    "skewstar": ("SKEW_STAR", lambda alg, i: skew.star_of(alg)),
-    "skewlattice": ("SKEW_LATTICE", lambda alg, i: skew.reduct(alg, "skew", i=i)),
+    "skewba": ("SKEW_BA", _skew_reduct),
+    "srca": ("SRCA", _skew_reduct),
+    "skewstar": ("SKEW_STAR", _star),
+    "skewlattice": ("SKEW_LATTICE", _skew_reduct),
 }
 
 
 def cmd_check(args) -> int:
+    from . import skew
+
     alg = _load(args.algebra, "algebra", core.algebra_from_json)
     suite, audited = CHECK_SUITES[args.suite]
     report = skew.check_axioms(audited(alg, args.i), suite, budget=args.budget,
@@ -138,6 +153,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from . import transforms
+
     t = terms.parse_term(args.term, args.n)
     out = transforms.translate_term(t, args.to, args.n, i=args.i)
     printed = terms.print_term(out)
@@ -146,6 +163,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synthesis
+
     table = _load(args.table, "table", synthesis.table_from_json)
     t = synthesis.synth(table)
     out = {"term": terms.print_term(t), "verified": synthesis.verify_term(t, table)}
@@ -161,6 +180,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_congruences(args) -> int:
+    from . import ideals
+
     alg = _load_nba(args.algebra)
     cons = ideals.all_congruences(alg)
     mids = [ideals.multideal_of(th) for th in cons if not th.is_total]
@@ -175,6 +196,8 @@ def cmd_congruences(args) -> int:
 
 
 def cmd_multideals(args) -> int:
+    from . import ideals
+
     alg = _load_nba(args.algebra)
     if args.validate:
         res = ideals.validate_multideal(alg, _load(args.validate, "candidate", _candidate))
@@ -192,6 +215,8 @@ def cmd_multideals(args) -> int:
 
 
 def cmd_ultras(args) -> int:
+    from . import ideals
+
     alg = _load(args.algebra, "algebra", core.algebra_from_json)
     ultras = ideals.all_ultramultideals(alg)
     for u in ultras:
@@ -202,6 +227,8 @@ def cmd_ultras(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from . import ideals
+
     alg = _load(args.algebra, "algebra", core.algebra_from_json)
     emb = ideals.stone_embed(alg)
     out = {
@@ -218,6 +245,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_reduct(args) -> int:
+    from . import skew
+
     if args.kind == "church" and (args.d is None or args.j is None):
         raise UsageError("--kind church needs --d and --j")
     alg = _load(args.algebra, "algebra", core.algebra_from_json)
@@ -239,6 +268,8 @@ def cmd_reduct(args) -> int:
 
 
 def cmd_represent(args) -> int:
+    from . import representation
+
     rep = representation.verify_embedding(args.points, args.n, args.i)
     out = {"ok": rep.ok, "injective": rep.injective}
     if rep.failure:

@@ -29,6 +29,9 @@ TABLE_BOUND = 1 << 24
 # flat take on reads this small (the generator's 32- to 81-row term steps)
 FANCY_READ_MAX = 1 << 11
 
+# the dtype of a boolean array or numpy scalar, and Python's bool: such an index is a mask
+_BOOLS = frozenset([np.dtype(bool), bool])
+
 
 class DimensionError(ValueError):
     pass
@@ -54,10 +57,13 @@ def gather(tab: np.ndarray, args: Sequence) -> np.ndarray:
     runs in the arguments' dtypes promoted with np.min_scalar_type(tab.size): no axis
     length or partial sum exceeds tab.size, and int64 arguments fold in int64 with no
     copy.  uint64 beside a signed dtype (which numpy promotes to float64) folds in int64.
+    A boolean array or scalar reads as 0/1 indices in both branches, never as a mask.
     """
     if len(args) != tab.ndim:
         raise IndexError(f"a table of {tab.ndim} axes read with {len(args)} indices")
     if np.broadcast(*args).size < FANCY_READ_MAX:
+        if not _BOOLS.isdisjoint([getattr(a, "dtype", type(a)) for a in args]):
+            args = [np.asarray(a, np.intp) for a in args]
         return tab[tuple(args)]
     idx = np.asarray(args[0])
     idx = idx.astype(np.promote_types(idx.dtype, np.min_scalar_type(tab.size)), copy=False)

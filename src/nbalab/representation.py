@@ -11,6 +11,7 @@ e_2 -> e_1, e_3 -> e_2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -56,7 +57,10 @@ def all_partial_fns(points: int) -> list:
             for vals in itertools.product((0, 1, 2), repeat=points)]
 
 
-_ONE_POINT = reduct(generator(3), "skew", 1)  # the operations on one point; q is q3 = t_1
+@functools.cache
+def _one_point() -> SkewTable:
+    """The operations on one point; q is q3 = t_1."""
+    return reduct(generator(3), "skew", 1)
 
 
 def _pointwise(table: np.ndarray, *fns: PartialFn) -> PartialFn:
@@ -65,22 +69,22 @@ def _pointwise(table: np.ndarray, *fns: PartialFn) -> PartialFn:
 
 def pf_meet(f: PartialFn, g: PartialFn) -> PartialFn:
     """f /\\ g = g restricted to dom(g) & dom(f)."""
-    return _pointwise(_ONE_POINT.meet, f, g)
+    return _pointwise(_one_point().meet, f, g)
 
 
 def pf_join(f: PartialFn, g: PartialFn) -> PartialFn:
     """f \\/ g = f together with g outside dom(f)."""
-    return _pointwise(_ONE_POINT.join, f, g)
+    return _pointwise(_one_point().join, f, g)
 
 
 def pf_minus(g: PartialFn, f: PartialFn) -> PartialFn:
     """g \\ f = g restricted outside dom(f)."""
-    return _pointwise(_ONE_POINT.minus, g, f)
+    return _pointwise(_one_point().minus, g, f)
 
 
 def pf_q(f: PartialFn, g: PartialFn, h: PartialFn) -> PartialFn:
     """q(f,g,h) = g on dom(g) & dom(f), h on dom(h) - dom(f)."""
-    return _pointwise(_ONE_POINT.q3, f, g, h)
+    return _pointwise(_one_point().q3, f, g, h)
 
 
 def partial_fn_algebra(points: int) -> SkewTable:

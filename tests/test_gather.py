@@ -93,6 +93,19 @@ def test_scalar_reads_are_zero_dimensional():
     assert np.array_equal(gather(tab, [x, 3, z]), tab[x, 3, z])
 
 
+@pytest.mark.parametrize("rows", [2, FANCY_READ_MAX - 1, FANCY_READ_MAX])
+def test_boolean_arguments_read_as_indices_not_masks(rows):
+    """numpy's tab[bools] is a mask read; gather reads bools as 0 and 1 on both sides of
+    FANCY_READ_MAX, as the int64 read of the same values does."""
+    rng = np.random.default_rng(rows)
+    tab = rng.integers(-1000, 1000, (2,) * 8)
+    args = [rng.integers(0, 2, rows).astype(bool) for _ in range(8)]
+    assert np.array_equal(gather(tab, args), tab[tuple(a.astype(np.int64) for a in args)])
+    square = np.arange(4).reshape(2, 2)
+    assert gather(square, [np.array([True, False])] * 2).tolist() == [3, 0]
+    assert gather(square, [True, np.False_]) == 2
+
+
 def test_one_index_per_axis():
     tab = np.zeros((2, 2, 2), dtype=np.int64)
     for args in ([0, 1], [0, 1, 1, 0]):

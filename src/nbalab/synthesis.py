@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import generator, json_int, json_ints
-from .terms import Const, Q, Term, Var, children, eval_vec, free_vars, subterms
+from .terms import Const, Q, Term, Var, children, eval_vec, free_vars
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,15 @@ def _simplify(t: Term, n: int, trace: list) -> Term:
     Each position is normalised after its children, left to right, so a
     shared subterm is rewritten and traced at every position it occupies.
     A reduct is one of the normalised children, so each node takes at most
-    one rule.
+    one rule.  A node outside the q signature is refused where the walk
+    first reaches it, before any rewrite is returned.
     """
     path = []  # child offsets from the root to the node on top of the stack
     stack = [(t, children(t), [])]  # (node, its children, those normalised so far)
     while True:
         node, kids, done = stack[-1]
+        if not isinstance(node, (Var, Const, Q)):
+            raise ValueError("simplify handles q-signature terms only")
         if len(done) < len(kids):
             path.append(len(done))
             c = kids[len(done)]
@@ -121,15 +124,9 @@ def _simplify(t: Term, n: int, trace: list) -> Term:
 
 def simplify(t: Term, n: int) -> tuple:
     """Returns (normal form, trace); only q-signature terms are accepted."""
-    _check_q_signature(t)
     trace: list = []
     out = _simplify(t, n, trace)
     return out, tuple(trace)
-
-
-def _check_q_signature(t: Term) -> None:
-    if not all(isinstance(s, (Var, Const, Q)) for s in subterms(t)):
-        raise ValueError("simplify handles q-signature terms only")
 
 
 def _values(t: Term, n: int, k: int) -> np.ndarray:

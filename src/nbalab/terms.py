@@ -170,8 +170,9 @@ def fold(t, kids, combine, memo: Optional[dict] = None, keep: Optional[set] = No
     holds about one value per nesting level and per shared node.  keep
     defaults to shared_nodes([t], kids); a caller that folds several roots
     into one memo, to share their values, passes the shared_nodes of all of
-    them.  kids is called on a node before its kids are visited, so it may
-    reject the node first.  The walk keeps its own stack and does not recurse.
+    them, or the memo itself to keep every value.  kids is called on a node
+    before its kids are visited, so it may reject the node first.  The walk
+    keeps its own stack and does not recurse.
     """
     memo = {} if memo is None else memo
     if id(t) in memo:
@@ -334,7 +335,7 @@ def free_vars(t: Term) -> list:
 # -- elaboration to q, and lowering to a straight-line program ----------
 
 
-def _checked_children(s, n: int) -> tuple:
+def checked_children(s, n: int) -> tuple:
     """children(s); TermError for a q node without n branches or a node outside the grammar."""
     if isinstance(s, (Var, Const)):
         return ()
@@ -347,7 +348,7 @@ def _checked_children(s, n: int) -> tuple:
     return children(s)
 
 
-def _q_form(s, n: int, args, const) -> tuple:
+def q_form(s, n: int, args, const) -> tuple:
     """(scrutinee, branches) of the q node that defines the Q, T or Bin node s, whose
     children stand as args; const(k, style) stands for the constant e_k (or 0_k)."""
     if isinstance(s, Q):
@@ -368,8 +369,8 @@ def elaborate(t: Term, n: int) -> Term:
     A node shared in t is rewritten once, so the result shares it too, as
     do the y and z that t_branches repeats.
     """
-    rewrite = lambda s, args: s if isinstance(s, (Var, Const)) else Q(*_q_form(s, n, args, Const))
-    return fold(t, lambda s: _checked_children(s, n), rewrite)
+    rewrite = lambda s, args: s if isinstance(s, (Var, Const)) else Q(*q_form(s, n, args, Const))
+    return fold(t, lambda s: checked_children(s, n), rewrite)
 
 
 class Program(NamedTuple):
@@ -388,10 +389,11 @@ def lower(roots, n: Optional[int] = None) -> Program:
     tuple (op, *args)) when n is None.
 
     One fold over the distinct nodes of all roots, by identity, makes one step
-    of each.  A variable or constant is a name step (args None), one per name;
-    a Q, T or Bin node is one q step, and a tuple one step of its op, whose
-    args are the steps of its arguments.  dead lists the steps whose values
-    the step reads last, other than the roots.
+    of each; its memo is also its keep set, so it keeps every step index and
+    makes no shared_nodes walk.  A variable or constant is a name step (args
+    None), one per name; a Q, T or Bin node is one q step, and a tuple one
+    step of its op, whose args are the steps of its arguments.  dead lists
+    the steps whose values the step reads last, other than the roots.
     """
     roots, steps, names = tuple(roots), [], {}
 
@@ -407,13 +409,12 @@ def lower(roots, n: Optional[int] = None) -> Program:
         if n is None:
             steps.append((s[0], tuple(args), []))
         else:
-            x, branches = _q_form(s, n, args, lambda k, style: name(f"e{k}"))
+            x, branches = q_form(s, n, args, lambda k, style: name(f"e{k}"))
             steps.append(("q", (x, *branches), []))
         return len(steps) - 1
 
-    kids = op_kids if n is None else lambda s: _checked_children(s, n)
-    memo, keep = {}, shared_nodes(roots, kids)
-    outs = tuple(fold(t, kids, step, memo, keep) for t in roots)
+    kids, memo = (op_kids if n is None else lambda s: checked_children(s, n)), {}
+    outs = tuple(fold(t, kids, step, memo, memo) for t in roots)
     read = set(outs)
     for _, args, dead in reversed(steps):  # walking back, the first read of a step is its last
         dead += [a for a in dict.fromkeys(args or ()) if a not in read]
@@ -586,9 +587,10 @@ def check_identity(
 
     Exhaustive verdicts are sound and complete for the variety; sampled
     Valid verdicts are only probabilistic, sampled counterexamples exact.
+    Its variables are the lowered pair's name steps, constants aside: first occurrence.
     """
     ops, program = q_ops(generator(n)), lower((lhs, rhs), n)
-    names = list(dict.fromkeys(free_vars(lhs) + free_vars(rhs)))
+    names = [op for op, a, _ in program.steps if a is None and not re.fullmatch(r"e\d+", op)]
     drawn = {"samples": samples, "seed": seed} if mode == "sampled" else {}
 
     def differ(chunk):

@@ -159,18 +159,18 @@ def reconstruct_parenthesized(coords: Sequence[Element], i: int, alg: PowerAlgeb
 def to_star(t: Term, n: int) -> Term:
     """Rewrite onto the skew-star signature (t_i with singleton i, 0_i).
 
-    Q nodes become the nested selector chain with t_1 outermost (terms.star_chain).
-    The walk is terms.fold over the elaborated term, so shared nodes stay shared.
+    Each Q, T or Bin node becomes the nested selector chain, t_1 outermost, over its q form
+    (terms.q_form, terms.star_chain): one terms.fold over t, so shared nodes stay shared.
     """
     def star(s, args):
         if isinstance(s, terms.Var):
             return s
         if isinstance(s, Const):
             return Const(s.k, "0")
-        x, *ys = args
+        x, ys = terms.q_form(s, n, args, lambda k, style: Const(k, "0"))
         return terms.star_chain(lambda k, x, a, b: T(frozenset({k}), x, a, b), x, ys)
 
-    return terms.fold(terms.elaborate(t, n), terms.children, star)
+    return terms.fold(t, lambda s: terms.checked_children(s, n), star)
 
 
 def to_skew(t: Term, n: int, i: int) -> Term:

@@ -359,6 +359,8 @@ class TableAlgebra:
                          f"not {list(el)}")
 
     def constant_index(self, k: int) -> int:
+        if not 1 <= k <= self.n:
+            raise ValueError(f"constant index {k} out of 1..{self.n}")
         return self.constants[k - 1]
 
     def mutate(self, key: tuple, value: int) -> "TableAlgebra":

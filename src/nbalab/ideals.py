@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import DimensionError, PowerAlgebra, check_table_bound, element_index, gather, generator
-from .skew import boolean_center, reduct
+from .skew import boolean_center
 from .terms import t_branches
 from .transforms import CenterParams
 
@@ -356,8 +356,12 @@ def ideal_closure(alg, seed) -> Multideal:
     """
     if len(seed) > alg.n:
         raise ValueError(f"a seed has at most {alg.n} parts, got {len(seed)}")
-    pairs = [(alg.constant_index(k), x) for k, part in enumerate(seed, 1) for x in part]
-    return multideal_of(congruence_generated(alg, pairs))
+    return multideal_of(congruence_generated(alg, _constant_pairs(alg, seed)))
+
+
+def _constant_pairs(alg, parts) -> list:
+    """The pairs (e_k, x), x in parts[k - 1]."""
+    return [(alg.constant_index(k), x) for k, part in enumerate(parts, 1) for x in part]
 
 
 # -- the multideal <-> congruence bijection ------------------------------
@@ -370,16 +374,22 @@ def _coordinate_indices(alg, cp: CenterParams) -> list:
     return [alg.q_vec(allv, t_branches(alg.n, {k}, ei, ej)) for k in range(1, alg.n + 1)]
 
 
+def _center(alg, cp: CenterParams) -> tuple:
+    """The Boolean center B_ij and the stacked _coordinate_indices, built once per (alg, cp)
+    and kept in alg._cache."""
+    if ("center", cp) not in alg._cache:
+        alg._cache["center", cp] = boolean_center(alg, cp), np.stack(_coordinate_indices(alg, cp))
+    return alg._cache["center", cp]
+
+
 def theta_of(ideal: Multideal, cp: CenterParams = CenterParams(1, 2)) -> Congruence:
-    """x ~ y iff all coordinates agree in the Boolean center modulo I_*."""
+    """The congruence generated by the pairs (e_k, x), x in I_k: on an nBA, the one whose
+    constant classes are I, whatever cp; a kernel read off a Stone certificate if any."""
     if ideal.degenerate:
         raise ValueError("the degenerate multideal induces no proper congruence")
     alg = ideal.alg
-    bc = boolean_center(alg, cp)
-    # the quotient by the principal ideal of join(I_*): x maps to x /\ -j0
-    coords = bc.local(np.stack(_coordinate_indices(alg, cp)))
-    sig = bc.table.meet[coords, _complement_of_join(bc, ideal, cp)]  # one column per element
-    return Congruence(alg, tuple(np.unique(sig, axis=1, return_inverse=True)[1].ravel().tolist()))
+    alg.constant_index(cp.i), alg.constant_index(cp.j)  # ValueError for a cp outside 1..n
+    return congruence_generated(alg, _constant_pairs(alg, ideal.components))
 
 
 def all_proper_multideals(alg) -> list:
@@ -394,43 +404,29 @@ def admissible_atoms(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2
 
     An atom works iff it lies below the complement of join(I_*).
     """
-    return _admissible_atoms(boolean_center(alg, cp), ideal, cp)
-
-
-def _complement_of_join(bc, ideal: Multideal, cp: CenterParams) -> int:
-    """-join(I_* within the Boolean center), as a local index of the center."""
-    j0 = bc.table.zero
+    bc, _ = _center(alg, cp)
+    j0 = bc.table.zero  # join(I_* within the Boolean center), as a local index
     for t in bc.loc[sorted(ideal.components[cp.i - 1])]:
         if t >= 0:
             j0 = int(bc.table.join[j0, t])
-    return int(bc.table.neg[j0])
-
-
-def _admissible_atoms(bc, ideal: Multideal, cp: CenterParams) -> list:
-    negj0 = _complement_of_join(bc, ideal, cp)
+    negj0 = int(bc.table.neg[j0])
     return [a for a in bc.atoms() if int(bc.table.meet[a, negj0]) == a]
 
 
 def extend_to_ultra(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2),
                     atom: Optional[int] = None) -> Multideal:
     """G_k = {x : x_k in the principal ultrafilter over the chosen atom}."""
-    return _extend_to_ultra(alg, ideal, cp, atom, boolean_center(alg, cp),
-                            _coordinate_indices(alg, cp))
-
-
-def _extend_to_ultra(alg, ideal: Multideal, cp: CenterParams, atom: Optional[int],
-                     bc, coords: list) -> Multideal:
-    """extend_to_ultra on a built Boolean center and coordinate table."""
+    bc, coords = _center(alg, cp)
     if ideal.degenerate:
         raise ValueError("cannot extend the degenerate multideal")
-    admissible = _admissible_atoms(bc, ideal, cp)
+    admissible = admissible_atoms(alg, ideal, cp)
     if atom is None:
         if not admissible:
             raise ValueError("no admissible atom")
         atom = admissible[0]
     elif atom not in admissible:
         raise ValueError(f"atom {atom} does not extend the multideal")
-    above = bc.table.meet[atom, bc.local(np.stack(coords))] == atom  # atom <= x_k
+    above = bc.table.meet[atom, bc.local(coords)] == atom  # atom <= x_k
     first = np.where(above.any(0), above.argmax(0), -1)  # x joins G_k for its least such k
     comps = (frozenset(np.flatnonzero(first == k).tolist()) for k in range(alg.n))
     out = Multideal(alg, tuple(comps))
@@ -444,14 +440,11 @@ def _extend_to_ultra(alg, ideal: Multideal, cp: CenterParams, atom: Optional[int
 def all_ultramultideals(alg) -> list:
     """One ultramultideal per atom of the Boolean center B_12."""
     cp = CenterParams(1, 2)
-    bc = boolean_center(alg, cp)
-    coords = _coordinate_indices(alg, cp)
-    minimum = Multideal(
-        alg, tuple(frozenset({alg.constant_index(k)}) for k in range(1, alg.n + 1))
-    )
+    bc, _ = _center(alg, cp)  # before the constants, which list a large power's elements
+    minimum = Multideal(alg, tuple(frozenset({alg.constant_index(k)}) for k in range(1, alg.n + 1)))
     seen = {}
     for atom in bc.atoms():
-        u = _extend_to_ultra(alg, minimum, cp, atom, bc, coords)
+        u = extend_to_ultra(alg, minimum, cp, atom)
         seen.setdefault(u.components, u)
     return sorted(seen.values(), key=lambda u: tuple(sorted(u.components[0])))
 
@@ -532,14 +525,18 @@ def _ultra_homs(alg) -> list:
 
 
 def is_prime(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2)) -> bool:
-    """x meet_i y in I_i forces x in I_i or y in I_i, over all pairs."""
+    """x meet_i y in I_i forces x in I_i or y in I_i, over all pairs: meet_i(x, y) =
+    t_i(x, y, 0_i) is one q_vec over the open grid of pairs, held to TABLE_BOUND."""
     if ideal.degenerate:
         raise ValueError("primality is about proper multideals")
-    i = cp.i
-    sk = reduct(alg, "skew", i=i)
-    inside = np.zeros(sk.size, dtype=bool)
+    i, size = cp.i, alg.size
+    zero = alg.constant_index(i)
+    check_table_bound("the meet table", size, size * size)
+    x, y = np.ix_(range(size), range(size))
+    meet = alg.q_vec(x, t_branches(alg.n, {i}, y, zero))
+    inside = np.zeros(size, dtype=bool)
     inside[sorted(ideal.components[i - 1])] = True
-    return not np.any(inside[sk.meet] & ~inside[:, None] & ~inside)
+    return not np.any(inside[meet] & ~inside[:, None] & ~inside)
 
 
 # -- Stone embedding ------------------------------------------------------
@@ -587,7 +584,7 @@ def boolean_ideal_filter_view(alg, ideal: Multideal):
         raise DimensionError(f"Boolean view needs dimension 2, got {alg.n}")
     if ideal.degenerate:
         raise ValueError("degenerate multideal")
-    bc = boolean_center(alg, CenterParams(2, 1))
+    bc, _ = _center(alg, CenterParams(2, 1))
     if bc.size != alg.size:
         raise ValueError(f"not a 2BA: its Boolean center has {bc.size} of {alg.size} elements")
     ba = bc.table  # local indices are carrier indices, since the center is everything

@@ -170,9 +170,10 @@ def fold(t, kids, combine, memo: Optional[dict] = None, keep: Optional[set] = No
     holds about one value per nesting level and per shared node.  keep
     defaults to shared_nodes([t], kids); a caller that folds several roots
     into one memo, to share their values, passes the shared_nodes of all of
-    them, or the memo itself to keep every value.  kids is called on a node
-    before its kids are visited, so it may reject the node first.  The walk
-    keeps its own stack and does not recurse.
+    them, or the memo itself to keep every value: free when the result holds
+    them all anyway, as a term built of its kids' values does.  kids is
+    called on a node before its kids are visited, so it may reject the node
+    first.  The walk keeps its own stack and does not recurse.
     """
     memo = {} if memo is None else memo
     if id(t) in memo:
@@ -370,7 +371,7 @@ def elaborate(t: Term, n: int) -> Term:
     do the y and z that t_branches repeats.
     """
     rewrite = lambda s, args: s if isinstance(s, (Var, Const)) else Q(*q_form(s, n, args, Const))
-    return fold(t, lambda s: checked_children(s, n), rewrite)
+    return fold(t, lambda s: checked_children(s, n), rewrite, memo := {}, memo)
 
 
 class Program(NamedTuple):

@@ -170,7 +170,7 @@ def to_star(t: Term, n: int) -> Term:
         x, ys = terms.q_form(s, n, args, lambda k, style: Const(k, "0"))
         return terms.star_chain(lambda k, x, a, b: T(frozenset({k}), x, a, b), x, ys)
 
-    return terms.fold(t, lambda s: terms.checked_children(s, n), star)
+    return terms.fold(t, lambda s: terms.checked_children(s, n), star, memo := {}, memo)
 
 
 def to_skew(t: Term, n: int, i: int) -> Term:
@@ -202,7 +202,7 @@ def to_skew(t: Term, n: int, i: int) -> Term:
             return Bin("bv", fam, Bin("and", fam, x, y), Bin("sub", fam, z, x))
         return Bin(s.kind, fam, *args)
 
-    return terms.fold(t, kids, skew)
+    return terms.fold(t, kids, skew, memo := {}, memo)
 
 
 def translate_term(t: Term, target: str, n: int, i: int = 1) -> Term:

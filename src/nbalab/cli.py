@@ -157,6 +157,12 @@ def cmd_translate(args) -> int:
 
     t = terms.parse_term(args.term, args.n)
     out = transforms.translate_term(t, args.to, args.n, i=args.i)
+    # the printed tree repeats a shared node under each parent: count its nodes on the DAG
+    sizes = {}
+    nodes = terms.fold(out, terms.children, lambda s, kids: 1 + sum(kids), sizes, sizes)
+    if nodes > core.TABLE_BOUND:
+        raise ValueError(f"the translated term prints as a tree past the bound of "
+                         f"{core.TABLE_BOUND} nodes ({len(sizes)} distinct nodes)")
     printed = terms.print_term(out)
     _emit(args, {"term": printed}, printed)
     return 0

@@ -11,7 +11,6 @@ e_2 -> e_1, e_3 -> e_2.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -57,34 +56,34 @@ def all_partial_fns(points: int) -> list:
             for vals in itertools.product((0, 1, 2), repeat=points)]
 
 
-@functools.cache
-def _one_point() -> SkewTable:
-    """The operations on one point; q is q3 = t_1."""
-    return reduct(generator(3), "skew", 1)
-
-
-def _pointwise(table: np.ndarray, *fns: PartialFn) -> PartialFn:
-    return PartialFn(fns[0].points, tuple(int(table[vs]) for vs in zip(*(f.values for f in fns))))
+def _t1(*args) -> PartialFn:
+    """t_1 at every point: one q_vec in generator(3), whose codes 0, 1, 2 (e_1, e_2, e_3) are
+    the values undefined, 1, 2.  An argument is a PartialFn or the code 0 of 0_1."""
+    points = {a.points for a in args if isinstance(a, PartialFn)}
+    if len(points) > 1:
+        raise ValueError("value vector length mismatch")
+    x, y, z = (np.array(getattr(a, "values", a), dtype=np.int64) for a in args)
+    return PartialFn(points.pop(), tuple(generator(3).q_vec(x, t_branches(3, {1}, y, z)).tolist()))
 
 
 def pf_meet(f: PartialFn, g: PartialFn) -> PartialFn:
     """f /\\ g = g restricted to dom(g) & dom(f)."""
-    return _pointwise(_one_point().meet, f, g)
+    return _t1(*BINARY["and"](f, g, 0, None))
 
 
 def pf_join(f: PartialFn, g: PartialFn) -> PartialFn:
     """f \\/ g = f together with g outside dom(f)."""
-    return _pointwise(_one_point().join, f, g)
+    return _t1(*BINARY["bv"](f, g, 0, None))
 
 
 def pf_minus(g: PartialFn, f: PartialFn) -> PartialFn:
     """g \\ f = g restricted outside dom(f)."""
-    return _pointwise(_one_point().minus, g, f)
+    return _t1(*BINARY["sub"](g, f, 0, None))
 
 
 def pf_q(f: PartialFn, g: PartialFn, h: PartialFn) -> PartialFn:
     """q(f,g,h) = g on dom(g) & dom(f), h on dom(h) - dom(f)."""
-    return _pointwise(_one_point().q3, f, g, h)
+    return _t1(f, g, h)
 
 
 def partial_fn_algebra(points: int) -> SkewTable:

@@ -115,6 +115,13 @@ class _Labels:
         return self.alg.element_label(a)
 
 
+def _subscript(alg, i: int) -> frozenset:
+    """{i}, the subscript of t_i and of the i-reducts; ValueError unless i lies in 1..n."""
+    if not 1 <= i <= alg.n:
+        raise ValueError(f"index {i} out of 1..{alg.n}")
+    return frozenset({i})
+
+
 def _t_table(alg, d: frozenset) -> np.ndarray:
     """Dense table of t_d over carrier indices of a q-algebra."""
     check_table_bound("a t table", alg.size, alg.size**3)
@@ -130,9 +137,7 @@ def reduct(alg, kind: str, i: int = None, d=None, j: int = None):
     """
     n = alg.n
     if kind in ("skew", "rchurch"):
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of 1..{n}")
-        t = _t_table(alg, frozenset({i}))
+        t = _t_table(alg, _subscript(alg, i))
         zero = alg.constant_index(i)
         a, b = np.ix_(range(alg.size), range(alg.size))
         meet, join, minus = (gather(t, BINARY[k](a, b, zero, None)) for k in SKEW_KINDS)
@@ -656,9 +661,9 @@ def is_element_kind(alg, e, kind, i: int = None, budget=DEFAULT_BUDGET,
     if kind == "semicentral":
         if i is None:
             raise ValueError("semicentral needs the reduct index i")
-        rc = reduct(alg, "rchurch", i=i)
-        # q3(e, e, 0) = e at e itself, then the clauses quantified over w, with w pinned to e
-        _rca, semi, *family = srca_axioms(rc.q3, rc.zero)
+        # t_i(e, e, 0_i) = e at e itself, then the clauses quantified over w, with w pinned to e
+        t = _t_table(alg, _subscript(alg, i))
+        _rca, semi, *family = srca_axioms(t, alg.constant_index(i))
         axs = [_pin(semi, "x", e)] + [_pin(ax, "w", e) for ax in family]
     elif kind == "factor":
         axs = _factor_axioms(alg, e)
@@ -701,43 +706,42 @@ class BooleanCenter:
 
 
 def boolean_center(alg, cp: CenterParams) -> BooleanCenter:
-    """The Boolean algebra on {x : x meet_i e_j = x}."""
+    """The Boolean algebra on {x : x meet_i e_j = x}, read off the t_i table (BINARY)."""
     i, j = cp.i, cp.j
-    sk = reduct(alg, "skew", i=i)
-    ej = alg.constant_index(j)
-    ei = sk.zero
-    carrier = np.arange(sk.size)
-    members = carrier[gather(sk.meet, (carrier, ej)) == carrier]
-    loc = np.full(sk.size, -1, dtype=np.int64)  # local index, -1 off the center
+    t = _t_table(alg, _subscript(alg, i))  # bounded before any constant is read
+    ei, ej = alg.constant_index(i), alg.constant_index(j)
+    carrier = np.arange(alg.size)
+    members = carrier[gather(t, (carrier, ej, ei)) == carrier]
+    loc = np.full(alg.size, -1, dtype=np.int64)  # local index, -1 off the center
     loc[members] = np.arange(len(members))
-    grid = np.ix_(members, members)
-    ops = {"meet": gather(sk.meet, grid), "join": gather(sk.join, grid),
-           "negation": gather(sk.q3, (members, ei, ej))}  # -x = t_i(x, e_i, e_j)
+    a, b = np.ix_(members, members)
+    ops = {"meet": gather(t, BINARY["and"](a, b, ei, None)),
+           "join": gather(t, BINARY["bv"](a, b, ei, None)),
+           "negation": gather(t, (members, ei, ej))}  # -x = t_i(x, e_i, e_j)
     for name, out in ops.items():
         bad = np.argwhere(loc[out] < 0)
         if bad.size:
-            args = ", ".join(sk.labels[a] for a in members[bad[0]])
+            args = ", ".join(alg.element_label(x) for x in members[bad[0]])
             raise ValueError(f"the Boolean center is not closed under {name}: {name}({args})"
-                             f" = {sk.labels[gather(out, bad[0])]} lies outside it")
+                             f" = {alg.element_label(gather(out, bad[0]))} lies outside it")
     for k, e in ((i, ei), (j, ej)):
         if loc[e] < 0:
             raise ValueError(f"the Boolean center does not contain e{k}")
-    labels = tuple(sk.labels[a] for a in members)
     bt = BoolTable(len(members), loc[ops["meet"]], loc[ops["join"]], loc[ops["negation"]],
-                   int(loc[ei]), int(loc[ej]), labels)
-    return BooleanCenter(tuple(int(a) for a in members), bt, loc)
+                   int(loc[ei]), int(loc[ej]), tuple(map(alg.element_label, members)))
+    return BooleanCenter(tuple(int(x) for x in members), bt, loc)
 
 
 # -- factor congruences of an element ------------------------------------------
 
 
 def factor_congruences_of(alg, e, i: int):
-    """The pair (phi, phi-bar) induced by e in the right Church i-reduct."""
+    """The pair (phi, phi-bar) induced by e in the right Church i-reduct: fe[a, b] =
+    t_i(e, a, b) is one q_vec over the open pair grid, held to TABLE_BOUND."""
     from .ideals import blocks_to_congruence
 
-    fe = reduct(alg, "rchurch", i=i).q3[element_index(alg, e)]  # fe[a, b] = t(e, a, b)
-    carrier = np.arange(alg.size)
-    return (
-        blocks_to_congruence(alg, fe == carrier[:, None]),
-        blocks_to_congruence(alg, fe == carrier),
-    )
+    d, e, size = _subscript(alg, i), element_index(alg, e), alg.size
+    check_table_bound("the factor table", size, size * size)
+    a, b = np.ix_(range(size), range(size))
+    fe = alg.q_vec(e, t_branches(alg.n, d, a, b))
+    return blocks_to_congruence(alg, fe == a), blocks_to_congruence(alg, fe == b)

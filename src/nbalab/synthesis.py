@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import generator, json_int, json_ints
-from .terms import Const, Q, Term, Var, children, eval_vec, free_vars
+from .terms import Const, Program, Q, Term, Var, children, lower, q_ops, run
 
 
 @dataclass(frozen=True)
@@ -129,19 +129,23 @@ def simplify(t: Term, n: int) -> tuple:
     return out, tuple(trace)
 
 
-def _values(t: Term, n: int, k: int) -> np.ndarray:
-    """t's values in 1..n over the n^k grid of x1..xk, first argument slowest."""
+def _values(program: Program, n: int, k: int) -> np.ndarray:
+    """The program's root in 1..n over the n^k grid of x1..xk, first argument slowest."""
     idx = np.arange(n**k)
     env = {f"x{s}": idx // n ** (k - s) % n for s in range(1, k + 1)}
-    return np.broadcast_to(eval_vec(t, env, generator(n)), idx.shape) + 1
+    return np.broadcast_to(run(program, env, q_ops(generator(n)))[0], idx.shape) + 1
 
 
 def verify_term(t: Term, table: TruthTable) -> bool:
-    """Exhaustive agreement of the term with the table."""
-    if not set(free_vars(t)) <= {f"x{s}" for s in range(1, table.k + 1)}:
+    """Exhaustive agreement of the term with the table; False if a variable other than
+    x1..xk occurs.  The variables are the name steps of the term's one lowering, so a Var
+    named like a constant (Var("e2"), which the parser never makes) is read as that
+    constant, and a Const outside 1..n raises run's "unbound variable"."""
+    program = lower([t], table.n)
+    if not set(program.variables) <= {f"x{s}" for s in range(1, table.k + 1)}:
         return False
-    return bool(np.array_equal(_values(t, table.n, table.k), table.entries))
+    return bool(np.array_equal(_values(program, table.n, table.k), table.entries))
 
 
 def table_of_term(t: Term, n: int, k: int) -> TruthTable:
-    return TruthTable(n, k, tuple(_values(t, n, k).tolist()))
+    return TruthTable(n, k, tuple(_values(lower([t], n), n, k).tolist()))

@@ -379,6 +379,11 @@ class Program(NamedTuple):
     steps: tuple
     roots: tuple
 
+    @property
+    def variables(self) -> list:
+        """The name steps other than the constants e1, e2, ..., in first-occurrence order."""
+        return [op for op, a, _ in self.steps if a is None and not re.fullmatch(r"e\d+", op)]
+
 
 def op_kids(t) -> tuple:
     """The arguments of an operation term: none for a name."""
@@ -591,7 +596,7 @@ def check_identity(
     Its variables are the lowered pair's name steps, constants aside: first occurrence.
     """
     ops, program = q_ops(generator(n)), lower((lhs, rhs), n)
-    names = [op for op, a, _ in program.steps if a is None and not re.fullmatch(r"e\d+", op)]
+    names = program.variables
     drawn = {"samples": samples, "seed": seed} if mode == "sampled" else {}
 
     def differ(chunk):

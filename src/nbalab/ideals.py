@@ -206,8 +206,7 @@ def _congruences_by_pairs(alg) -> list:
 def stone_certificate(alg) -> Optional[np.ndarray]:
     """The (size, k) coordinates in 0..n-1 of an isomorphism of alg onto n^k, k >= 1, or None.
 
-    A power or subpower is n^j index for index (PowerAlgebra._power): its coordinates are
-    the base-n digits of its indices, and no q table is built.  A table's are stone_embed's
+    A power's or subpower's are _digits, and no q table is built.  A table's are stone_embed's
     images if they are a bijection onto n^k, which is then an isomorphism sending e_k to e_k:
     each hom passed is_hom_onto_generator (onto 1..n, e_k to k, q kept on the whole table),
     and q on n^k is coordinatewise.  Other tables, and those on which the attempt raises
@@ -215,11 +214,7 @@ def stone_certificate(alg) -> Optional[np.ndarray]:
     """
     if "stone" in alg._cache:
         return alg._cache["stone"]
-    if isinstance(alg, PowerAlgebra):
-        j = alg._power().points
-        check_table_bound("the Stone certificate", alg.size, alg.size * j)
-        cert = np.arange(alg.size)[:, None] // alg.n ** np.arange(j - 1, -1, -1) % alg.n
-    else:
+    if (cert := _digits(alg)) is None:
         try:
             emb = stone_embed(alg)
             cert = (np.array(emb.images, dtype=np.int64).reshape(alg.size, -1) - 1
@@ -228,6 +223,14 @@ def stone_certificate(alg) -> Optional[np.ndarray]:
             cert = None
     alg._cache["stone"] = cert if cert is not None and cert.shape[1] else None
     return alg._cache["stone"]
+
+
+def _digits(alg) -> Optional[np.ndarray]:
+    """The base-n digits of a power's or subpower's indices (n^j's, see _power), or None."""
+    if isinstance(alg, PowerAlgebra):
+        j = alg._power().points
+        check_table_bound("the Stone certificate", alg.size, alg.size * j)
+        return np.arange(alg.size)[:, None] // alg.n ** np.arange(j - 1, -1, -1) % alg.n
 
 
 # -- multideals ---------------------------------------------------------
@@ -414,12 +417,12 @@ def admissible_atoms(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2
 
 
 def extend_to_ultra(alg, ideal: Multideal, cp: CenterParams = CenterParams(1, 2),
-                    atom: Optional[int] = None) -> Multideal:
-    """G_k = {x : x_k in the principal ultrafilter over the chosen atom}."""
+                    atom: Optional[int] = None, admissible: Optional[list] = None) -> Multideal:
+    """G_k = {x : x_k in the principal ultrafilter over the chosen admissible atom}."""
     bc, coords = _center(alg, cp)
     if ideal.degenerate:
         raise ValueError("cannot extend the degenerate multideal")
-    admissible = admissible_atoms(alg, ideal, cp)
+    admissible = admissible_atoms(alg, ideal, cp) if admissible is None else admissible
     if atom is None:
         if not admissible:
             raise ValueError("no admissible atom")
@@ -442,9 +445,9 @@ def all_ultramultideals(alg) -> list:
     cp = CenterParams(1, 2)
     bc, _ = _center(alg, cp)  # before the constants, which list a large power's elements
     minimum = Multideal(alg, tuple(frozenset({alg.constant_index(k)}) for k in range(1, alg.n + 1)))
-    seen = {}
+    admissible, seen = admissible_atoms(alg, minimum, cp), {}
     for atom in bc.atoms():
-        u = extend_to_ultra(alg, minimum, cp, atom)
+        u = extend_to_ultra(alg, minimum, cp, atom, admissible)
         seen.setdefault(u.components, u)
     return sorted(seen.values(), key=lambda u: tuple(sorted(u.components[0])))
 
@@ -453,13 +456,11 @@ def hom_of_ultra(ideal: Multideal) -> tuple:
     """The induced map onto generator(n): h[x] = the k with x in G_k."""
     if not ideal.is_ultra:
         raise ValueError("not an ultramultideal")
-    alg = ideal.alg
-    size = alg.size
-    h = [0] * size
+    h = [0] * ideal.alg.size
     for k, comp in enumerate(ideal.components, start=1):
         for x in comp:
             h[x] = k
-    if not is_hom_onto_generator(alg, tuple(h)):
+    if not is_hom_onto_generator(ideal.alg, tuple(h)):
         raise ValueError("the ultramultideal induces no homomorphism onto the generator")
     return tuple(h)
 
@@ -511,11 +512,16 @@ def all_homs_onto_generator(alg) -> list:
 
 
 def _ultra_homs(alg) -> list:
-    """hom_of_ultra of each ultramultideal, in all_ultramultideals' order.  The list, or
-    the ValueError raised building it, is kept in alg._cache and given again."""
+    """hom_of_ultra of each ultramultideal, in all_ultramultideals' order, kept in alg._cache
+    with any ValueError raised.  One whose parts are a (sub)power's fibres of a coordinate
+    induces that projection, a hom, with no q-table check; any other goes through hom_of_ultra."""
     if "ultra_homs" not in alg._cache:
         try:
-            alg._cache["ultra_homs"] = [hom_of_ultra(u) for u in all_ultramultideals(alg)]
+            ultras = all_ultramultideals(alg)  # its center bounds a large power first
+            cols = {} if (digits := _digits(alg)) is None else {
+                tuple(frozenset(np.flatnonzero(d == k).tolist()) for k in range(alg.n)):
+                tuple((d + 1).tolist()) for d in digits.T}
+            alg._cache["ultra_homs"] = [cols.get(u.components) or hom_of_ultra(u) for u in ultras]
         except ValueError as exc:
             alg._cache["ultra_homs"] = exc
     homs = alg._cache["ultra_homs"]
@@ -558,17 +564,14 @@ class StoneEmbedding:
 
     def preserves_q(self) -> bool:
         """img[q(x, ys)] == q(img[x], img[ys]) over the source's whole q table."""
-        img = np.asarray([self.target.index(e) for e in self.images], dtype=np.int64)
-        return _preserves_q(self.alg, img, self.target)
+        return _preserves_q(self.alg, self.target.indices(self.images), self.target)
 
 
 def stone_embed(alg) -> StoneEmbedding:
     """x maps to the tuple of its images under all ultramultideal homs."""
     homs = _ultra_homs(alg)
-    size = alg.size
-    target = PowerAlgebra(alg.n, len(homs))
-    images = tuple(tuple(h[x] for h in homs) for x in range(size))
-    return StoneEmbedding(alg, target, images)
+    images = tuple(tuple(h[x] for h in homs) for x in range(alg.size))
+    return StoneEmbedding(alg, PowerAlgebra(alg.n, len(homs)), images)
 
 
 # -- the Boolean (n = 2) specialisation ------------------------------------

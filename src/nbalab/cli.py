@@ -51,16 +51,16 @@ def _candidate(obj) -> list:
 
 
 def _load_nba(path: str):
-    """Load an algebra for a command that assumes the nBA axioms.  Powers, subpowers and
-    tables with a Stone certificate (cached for the command) are nBAs.  Another table is
-    audited, and a refuted axiom is reported with its counterexample; one that the audit,
+    """Load an algebra for a command that assumes the nBA axioms.  One with coordinates()
+    and a table with a Stone certificate (cached for the command) are nBAs.  Another table
+    is audited, and a refuted axiom is reported with its counterexample; one that the audit,
     which may only sample, does not refute is an nBA iff the homs onto the generator that
     the certificate attempt found separate its points: they embed it in a power, and every
     finite nBA is one (n^0 for the one-element table)."""
     from . import ideals, skew
 
     alg = _load(path, "algebra", core.algebra_from_json)
-    if isinstance(alg, core.TableAlgebra) and ideals.stone_certificate(alg) is None:
+    if alg.coordinates() is None and ideals.stone_certificate(alg) is None:
         fail = skew.check_axioms(alg, "NBA").first_failure()
         if fail is not None:
             raise ValueError(f"not an nBA: {fail.name} fails at {fail.counterexample}")

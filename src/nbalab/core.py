@@ -239,6 +239,15 @@ class PowerAlgebra:
             self._cache["power"] = power_algebra(self.n, j)
         return self._cache["power"]
 
+    def coordinates(self) -> "PowerAlgebra":
+        """_power: the n^k whose digits are the carrier-index coordinates of the Stone isomorphism
+        (not transforms.coordinates, an element's coordinates over a Boolean center)."""
+        return self._power()
+
+    def digits(self, idx) -> np.ndarray:
+        """Base-n digits of n^points codes idx, first point most significant, on a new last axis."""
+        return np.asarray(idx)[..., None] // self.n ** np.arange(self.points - 1, -1, -1) % self.n
+
     def _escape(self, vals: np.ndarray) -> None:
         """q's ShapeError at the first argument tuple (C order, scrutinee slowest) whose
         value the open carrier vals lacks.  For a scrutinee x, q(x, y_1..y_n) takes y_k's
@@ -356,6 +365,9 @@ class TableAlgebra:
     def run(self, program, env: dict, ops: dict) -> tuple:
         """terms.run of a q program over carrier indices, ops being q_ops(self) and pins."""
         return terms.run(program, env, ops)
+
+    def coordinates(self) -> None:  # for a table, a theorem that ideals.stone_certificate proves
+        return None
 
     def element_label(self, i: int) -> str:
         return f"#{i}"
@@ -484,7 +496,8 @@ def subalgebra_closure(alg: PowerAlgebra, gens: Iterable[Element]) -> PowerAlgeb
     for g in gens:  # a subpower's _power raises ShapeError if its carrier is open
         alg._check_element(g) if alg._power() is alg else alg.index(g)
     first, cls = _first_ranks(np.array([alg.constant(1), *gens], dtype=np.int64).T)
-    diag = np.array(power_algebra(alg.n, len(first)).elements(), dtype=np.int64)
+    check_table_bound("the element list", alg.n ** len(first), alg.n ** len(first) * len(first))
+    diag = power_algebra(alg.n, len(first)).digits(np.arange(alg.n ** len(first))) + 1
     return PowerAlgebra(alg.n, alg.points, tuple(map(tuple, diag[:, cls].tolist())))
 
 

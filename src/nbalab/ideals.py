@@ -206,11 +206,11 @@ def _congruences_by_pairs(alg) -> list:
 def stone_certificate(alg) -> Optional[np.ndarray]:
     """The (size, k) coordinates in 0..n-1 of an isomorphism of alg onto n^k, k >= 1, or None.
 
-    A power's or subpower's are _digits, and no q table is built.  A table's are stone_embed's
-    images if they are a bijection onto n^k, which is then an isomorphism sending e_k to e_k:
-    each hom passed is_hom_onto_generator (onto 1..n, e_k to k, q kept on the whole table),
-    and q on n^k is coordinatewise.  Other tables, and those on which the attempt raises
-    ValueError, get None, which refutes nothing.  Cached in alg._cache.
+    With coordinates() (a power or subpower) they are _digits, and no q table is built.  A
+    table's are stone_embed's images if they are a bijection onto n^k, which is then an
+    isomorphism sending e_k to e_k: each hom passed is_hom_onto_generator (onto 1..n, e_k to k,
+    q kept on the whole table), and q on n^k is coordinatewise.  Other tables, and those on
+    which the attempt raises ValueError, get None, which refutes nothing.  Cached in alg._cache.
     """
     if "stone" in alg._cache:
         return alg._cache["stone"]
@@ -226,11 +226,10 @@ def stone_certificate(alg) -> Optional[np.ndarray]:
 
 
 def _digits(alg) -> Optional[np.ndarray]:
-    """The base-n digits of a power's or subpower's indices (n^j's, see _power), or None."""
-    if isinstance(alg, PowerAlgebra):
-        j = alg._power().points
-        check_table_bound("the Stone certificate", alg.size, alg.size * j)
-        return np.arange(alg.size)[:, None] // alg.n ** np.arange(j - 1, -1, -1) % alg.n
+    """alg's indices as digits of its coordinates() n^k, within TABLE_BOUND, or None (a table)."""
+    if (power := alg.coordinates()) is not None:
+        check_table_bound("the Stone certificate", alg.size, alg.size * power.points)
+        return power.digits(np.arange(alg.size))
 
 
 # -- multideals ---------------------------------------------------------

@@ -511,16 +511,22 @@ def all_homs_onto_generator(alg) -> list:
 
 
 def _ultra_homs(alg) -> list:
-    """hom_of_ultra of each ultramultideal, in all_ultramultideals' order, kept in alg._cache
-    with any ValueError raised.  One whose parts are a (sub)power's fibres of a coordinate
-    induces that projection, a hom, with no q-table check; any other goes through hom_of_ultra."""
+    """The homs of the ultramultideals onto generator(n), in all_ultramultideals' order
+    (by the fibre of 1), kept in alg._cache with any ValueError raised.  With coordinates()
+    (a power or subpower) they are its _digits columns plus 1, the projections, when these
+    send each e_k to k; otherwise hom_of_ultra of each ultramultideal, checked on the q table."""
     if "ultra_homs" not in alg._cache:
         try:
-            ultras = all_ultramultideals(alg)  # its center bounds a large power first
-            cols = {} if (digits := _digits(alg)) is None else {
-                tuple(frozenset(np.flatnonzero(d == k).tolist()) for k in range(alg.n)):
-                tuple((d + 1).tolist()) for d in digits.T}
-            alg._cache["ultra_homs"] = [cols.get(u.components) or hom_of_ultra(u) for u in ultras]
+            # the Boolean center's bound, though none is built here: it alone keeps nba embed's
+            # refusals of 2^10 and 2^40 at the t table, where nba ultras stops
+            check_table_bound("a t table", alg.size, alg.size**3)
+            digits = _digits(alg)
+            if digits is not None and all((digits[alg.constant_index(k)] == k - 1).all()
+                                          for k in range(1, alg.n + 1)):
+                cols = sorted(digits.T, key=lambda d: tuple(np.flatnonzero(d == 0).tolist()))
+                alg._cache["ultra_homs"] = [tuple((d + 1).tolist()) for d in cols]
+            else:
+                alg._cache["ultra_homs"] = [hom_of_ultra(u) for u in all_ultramultideals(alg)]
         except ValueError as exc:
             alg._cache["ultra_homs"] = exc
     homs = alg._cache["ultra_homs"]
@@ -567,10 +573,12 @@ class StoneEmbedding:
 
 
 def stone_embed(alg) -> StoneEmbedding:
-    """x maps to the tuple of its images under all ultramultideal homs."""
+    """x maps to the tuple of its images under the ultramultideal homs (_ultra_homs), in
+    n^k: alg's coordinates() (so preserves_q reads its one q table), or a new n^k for a table."""
     homs = _ultra_homs(alg)
     images = tuple(tuple(h[x] for h in homs) for x in range(alg.size))
-    return StoneEmbedding(alg, PowerAlgebra(alg.n, len(homs)), images)
+    target = alg.coordinates()
+    return StoneEmbedding(alg, PowerAlgebra(alg.n, len(homs)) if target is None else target, images)
 
 
 # -- the Boolean (n = 2) specialisation ------------------------------------
